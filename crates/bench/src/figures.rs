@@ -594,11 +594,12 @@ pub fn fig_latency(quick: bool) -> Figure {
 ///
 /// Two families of runs per cardinality:
 ///
-/// * The PR 5 full-checkpoint pair — single engine and 4-worker
-///   coordinated parallel checkpoint — each processes half the stream,
-///   checkpoints (the measured pause), restores into a fresh engine
-///   (the measured recovery), and finishes the stream.
-/// * The PR 10 delta-chain runs — `HAMLET-delta` and
+/// * The full-checkpoint pair — `HAMLET` (single engine) and
+///   `HAMLET-par4` (4-worker parallel session) — each processes half
+///   the stream, cuts one full record (the measured pause), restores it
+///   into a fresh engine or session (the measured recovery), and
+///   finishes the stream.
+/// * The delta-chain runs — `HAMLET-delta` and
 ///   `HAMLET-par4-delta` cut an incremental checkpoint into a
 ///   [`MemStore`](hamlet_core::MemStore) every `CUT_CADENCE` events
 ///   (every `COMPACT_EVERY`th cut a full base), then recover a fresh
@@ -653,7 +654,7 @@ pub fn fig_checkpoint(quick: bool) -> Figure {
         let cut = events.len() / 2;
         let mut ms = Vec::new();
 
-        // Single engine: checkpoint at the midpoint, restore, finish.
+        // Single engine: full cut at the midpoint, restore, finish.
         {
             let t0 = Instant::now();
             let mut eng = HamletEngine::new(reg.clone(), queries.clone(), EngineConfig::default())
@@ -663,13 +664,15 @@ pub fn fig_checkpoint(quick: bool) -> Figure {
                 results += eng.process(e).len() as u64;
             }
             let p0 = Instant::now();
-            let blob = eng.checkpoint();
+            let blob = eng.cut(CutKind::Full).expect("full cut");
             let pause = p0.elapsed();
             let r0 = Instant::now();
             let mut resumed =
                 HamletEngine::new(reg.clone(), queries.clone(), EngineConfig::default())
                     .expect("engine builds");
-            resumed.restore(&blob).expect("own checkpoint restores");
+            resumed
+                .restore_chain(std::slice::from_ref(&blob))
+                .expect("own checkpoint restores");
             let recovery = r0.elapsed();
             for e in &events[cut..] {
                 results += resumed.process(e).len() as u64;
@@ -686,26 +689,37 @@ pub fn fig_checkpoint(quick: bool) -> Figure {
             ms.push(m);
         }
 
-        // 4-worker coordinated checkpoint: barrier + per-shard blobs.
+        // 4-worker coordinated full cut at the midpoint through the
+        // parallel session, restored into a fresh session that finishes.
         {
             let t0 = Instant::now();
             let par = ParallelEngine::new(reg.clone(), queries.clone(), EngineConfig::default(), 4)
                 .expect("parallel engine builds");
-            let pre = par.run_to_checkpoint(&events[..cut]);
-            let post = par
-                .resume(&pre.checkpoint, &events[cut..])
+            let mut pre = par.session();
+            let mut results = pre.process(&events[..cut]).len() as u64;
+            let p0 = Instant::now();
+            let blob = pre.cut(CutKind::Full).expect("coordinated cut");
+            let pause = p0.elapsed();
+            drop(pre);
+            let r0 = Instant::now();
+            let mut post = par.session();
+            post.restore_chain(std::slice::from_ref(&blob))
                 .expect("own checkpoint restores");
+            let recovery = r0.elapsed();
+            results += post.process(&events[cut..]).len() as u64;
+            results += post.flush().len() as u64;
             let mut m = Measurement::zero(
                 System::HamletParallel(4),
                 events.len() as u64,
                 queries.len(),
             );
             m.wall = t0.elapsed();
-            m.results = (pre.report.results.len() + post.results.len()) as u64;
+            m.results = results;
             m.throughput_eps = events.len() as f64 / m.wall.as_secs_f64().max(1e-9);
-            m.peak_mem_bytes = post.peak_mem.iter().sum();
-            m.checkpoint_bytes = pre.checkpoint.total_bytes() as u64;
-            m.checkpoint_pause = pre.pause;
+            m.peak_mem_bytes = post.peak_memory();
+            m.checkpoint_bytes = blob.len() as u64;
+            m.checkpoint_pause = pause;
+            m.recovery_time = recovery;
             ms.push(m);
         }
 
@@ -755,9 +769,11 @@ pub fn fig_checkpoint(quick: bool) -> Figure {
             recovered.restore_chain(&chain).expect("chain restores");
             let recovery = r0.elapsed();
             // Byte-identity: base + delta replay reproduces exactly the
-            // state the surviving engine holds at the same barrier.
+            // state the surviving engine holds at the same barrier, so
+            // both cut the same next full record.
             assert!(
-                recovered.checkpoint() == eng.checkpoint(),
+                recovered.cut(CutKind::Full).expect("verify cut")
+                    == eng.cut(CutKind::Full).expect("verify cut"),
                 "chain restore must be byte-identical to the survivor at {keys} keys"
             );
             results += eng.flush().len() as u64;
@@ -802,8 +818,8 @@ pub fn fig_checkpoint(quick: bool) -> Figure {
         }
 
         // 4-worker coordinated delta chain through the parallel
-        // session: per-shard delta frames packed into one container per
-        // cut, recovery decomposes and replays them per shard.
+        // session: per-shard deltas packed into one shard-set record per
+        // cut; on recovery every shard replays its own payloads.
         {
             let store = MemStore::new();
             let t0 = Instant::now();
@@ -843,7 +859,7 @@ pub fn fig_checkpoint(quick: bool) -> Figure {
             recovered.restore_chain(&chain).expect("chain restores");
             let recovery = r0.elapsed();
             // Byte-identity at the shared barrier: both sessions cut a
-            // full container before either processes anything further.
+            // full record before either processes anything further.
             assert!(
                 recovered
                     .cut(CutKind::Full)
@@ -861,6 +877,7 @@ pub fn fig_checkpoint(quick: bool) -> Figure {
             m.wall = wall;
             m.results = results;
             m.throughput_eps = events.len() as f64 / wall.as_secs_f64().max(1e-9);
+            m.peak_mem_bytes = live.peak_memory();
             m.checkpoint_bytes = base_bytes;
             m.checkpoint_pause = if cuts > 0 {
                 cut_time / cuts as u32

@@ -1,27 +1,36 @@
-//! Checkpoint/restore: a versioned, hand-rolled binary codec for engine
-//! state.
+//! Checkpoint codec: one versioned, hand-rolled record frame for engine,
+//! shard-set and pipeline state.
 //!
 //! The engine's value lives entirely in run-local state — snapshot
 //! tables, graphlet runs, per-partition aggregates, the monotone
 //! watermark. A crash loses every open window unless that state is
-//! durable, so [`HamletEngine::checkpoint`](crate::HamletEngine::checkpoint)
-//! serializes it into a self-describing byte blob and
-//! [`HamletEngine::restore`](crate::HamletEngine::restore) rebuilds a
-//! freshly constructed engine from it.
+//! durable, so every layer cuts it into records through
+//! [`Snapshot::cut`](crate::Snapshot::cut) and rebuilds a freshly
+//! constructed instance from a chain of them through
+//! [`Snapshot::restore_chain`](crate::Snapshot::restore_chain).
+//!
+//! Every record is one `HMDL` [`Frame`]: chain metadata (kind, seq,
+//! parent, workload epoch), one engine-state payload per shard, and an
+//! opaque tail the pipeline fills with its own state. An engine payload
+//! is always a *delta* — partitions and pending halves to remove, those
+//! to upsert, and the small scalar state. A base is the delta from an
+//! empty engine: every partition and pending half is an upsert, and the
+//! restore applies it onto an emptied engine. One encoder, one decoder
+//! and one apply therefore serve both kinds.
 //!
 //! # Guarantees
 //!
-//! * **Round-trip identity**: `restore(checkpoint())` reproduces the
-//!   engine state exactly — continuing the stream after a restore emits
+//! * **Round-trip identity**: restoring a chain reproduces the engine
+//!   state exactly — continuing the stream after a restore emits
 //!   byte-identical results, in identical order, to never having
-//!   checkpointed (`tests/checkpoint_equivalence.rs`). Encoding is
-//!   deterministic (hash maps are serialized in their canonical total
-//!   order), so `checkpoint → restore → checkpoint` is byte-identical
-//!   too.
-//! * **Versioned**: every blob starts with a magic tag and a format
+//!   checkpointed (`tests/checkpoint_equivalence.rs`,
+//!   `tests/delta_checkpoint.rs`). Encoding is deterministic (hash maps
+//!   are serialized in their canonical total order), so a restored
+//!   engine's next full cut equals the original's byte for byte.
+//! * **Versioned**: every record starts with a magic tag and a format
 //!   version; a mismatch is a clean [`CheckpointError`], never a
 //!   mis-decode.
-//! * **Workload-fingerprinted**: a checkpoint taken under one compiled
+//! * **Workload-fingerprinted**: a payload taken under one compiled
 //!   workload (share groups, member counts, windows, sharding) refuses
 //!   to restore into an engine compiled from a different one.
 //!
@@ -30,109 +39,135 @@
 //! integers, `f64` as IEEE-754 bits, length-prefixed sequences and
 //! UTF-8 strings. Wall-clock artifacts (`Instant` arrival stamps) are
 //! not serialized — they reset across a restore, which can only affect
-//! latency *metrics*, never results.
+//! latency *metrics*, never results. Byte layouts live in
+//! `docs/checkpoint-format.md`.
 
 use hamlet_types::{AttrValue, Event, GroupKey, Ts};
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Magic tag opening every engine checkpoint blob.
-pub const ENGINE_MAGIC: [u8; 4] = *b"HMEN";
-/// Engine checkpoint format version. v2 added the count-only burst tail
-/// (`burst_extra`) to each run's pending-burst record; v3 added the
-/// workload *epoch* (runtime query churn generation) to the header; v4
-/// appended the per-share-group observability counters at the tail.
-/// v2/v3 blobs still restore — v2 into engines at epoch 0 (the only
-/// epoch v2 could describe), v3 with the per-group counters zeroed
-/// (see `docs/checkpoint-format.md`).
-pub const ENGINE_VERSION: u16 = 4;
+/// Magic tag opening every checkpoint record.
+pub const MAGIC: [u8; 4] = *b"HMDL";
+/// Record format version.
+pub const VERSION: u16 = 2;
 
-/// The v3 engine format version (epoch header, no per-group
-/// observability tail), still accepted by
-/// [`crate::HamletEngine::restore`].
-pub const ENGINE_VERSION_V3: u16 = 3;
+/// Kind byte of a frame carrying a full base.
+const KIND_BASE: u8 = 0;
+/// Kind byte of a frame carrying an incremental delta.
+const KIND_DELTA: u8 = 1;
 
-/// The v2 engine format version, still accepted by
-/// [`crate::HamletEngine::restore`] for blobs written before the
-/// workload epoch existed.
-pub const ENGINE_VERSION_V2: u16 = 2;
-
-/// Magic tag opening every delta-chain record (`HMDL`): a *base* (a
-/// full engine blob re-framed as the root of a chain) or an
-/// incremental *delta* (only the partitions, pending halves, and
-/// counters touched since the previous cut). See
-/// `docs/checkpoint-format.md` for the layout and the chain rules.
-pub const DELTA_MAGIC: [u8; 4] = *b"HMDL";
-/// Delta-chain record format version.
-pub const DELTA_VERSION: u16 = 1;
-
-/// Kind byte of an `HMDL` frame carrying a full base snapshot.
-pub const DELTA_KIND_BASE: u8 = 0;
-/// Kind byte of an `HMDL` frame carrying an incremental delta.
-pub const DELTA_KIND_DELTA: u8 = 1;
-
-/// Parsed `HMDL` frame: the chain metadata a store or a
-/// [`Checkpoint`](crate::Checkpoint) handle needs without decoding the
-/// payload, plus the payload itself (a full engine blob for a base, a
-/// delta body for a delta).
-pub struct DeltaFrame {
-    /// True for a base record (kind 0), false for a delta (kind 1).
+/// One checkpoint record, parsed without decoding its payloads (which it
+/// borrows from the record bytes).
+///
+/// A single engine cuts a frame with one shard payload and an empty
+/// tail. A shard set (the parallel session, the pipeline) packs the
+/// payloads its engines cut at one barrier, in shard order; the
+/// pipeline appends its reorder buffer, cursor and counters as the tail.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Frame<'a> {
+    /// True for a base (a full snapshot), false for a delta.
     pub base: bool,
-    /// Chain sequence number of this record (monotone per engine).
+    /// Chain sequence number of this record (monotone per chain).
     pub seq: u64,
-    /// Sequence number of the predecessor record (0 before the first).
+    /// Sequence number of the predecessor record (0 for a base).
     pub parent: u64,
     /// Workload epoch the record was cut at.
     pub epoch: u64,
-    /// Record payload, opaque at the frame level.
-    pub payload: Vec<u8>,
+    /// One engine-state payload per shard (index = shard).
+    pub shards: Vec<&'a [u8]>,
+    /// Layer-specific state after the shards (empty below the pipeline).
+    pub tail: &'a [u8],
 }
 
-/// Frames one delta-chain record: magic, version, kind, chain position
-/// (`seq`/`parent`), epoch, then the length-prefixed payload.
-pub fn write_delta_frame(base: bool, seq: u64, parent: u64, epoch: u64, payload: &[u8]) -> Vec<u8> {
+impl<'a> Frame<'a> {
+    /// Serializes the frame: magic, version, kind, chain position, epoch,
+    /// the length-prefixed shard payloads, then the length-prefixed tail.
+    pub fn encode(&self) -> Vec<u8> {
+        // Sized exactly: a frame copies whole engine states, and growing
+        // the buffer past them would double it.
+        let fixed = 4 + 2 + 1 + 3 * 8 + 8 + 8;
+        let payloads: usize = self.shards.iter().map(|s| 8 + s.len()).sum();
+        let mut e = Enc::with_capacity(fixed + payloads + self.tail.len());
+        e.raw(&MAGIC);
+        e.u16(VERSION);
+        e.u8(if self.base { KIND_BASE } else { KIND_DELTA });
+        e.u64(self.seq);
+        e.u64(self.parent);
+        e.u64(self.epoch);
+        e.usize(self.shards.len());
+        for s in &self.shards {
+            e.bytes(s);
+        }
+        e.bytes(self.tail);
+        e.finish()
+    }
+
+    /// Mirror of [`encode`](Self::encode): parses and validates the
+    /// frame, borrowing the payloads from `bytes`.
+    pub fn decode(bytes: &'a [u8]) -> Result<Frame<'a>, CheckpointError> {
+        let mut d = Dec::new(bytes);
+        d.magic(&MAGIC)?;
+        let v = d.u16()?;
+        if v != VERSION {
+            return Err(CheckpointError::BadVersion(v));
+        }
+        let base = match d.u8()? {
+            KIND_BASE => true,
+            KIND_DELTA => false,
+            k => return Err(CheckpointError::Corrupt(format!("record kind {k}"))),
+        };
+        let seq = d.u64()?;
+        let parent = d.u64()?;
+        let epoch = d.u64()?;
+        let n = d.seq_len()?;
+        if n == 0 {
+            return Err(CheckpointError::Corrupt("record with no shards".into()));
+        }
+        let mut shards = Vec::with_capacity(n);
+        for _ in 0..n {
+            shards.push(d.bytes()?);
+        }
+        let tail = d.bytes()?;
+        d.expect_end()?;
+        Ok(Frame {
+            base,
+            seq,
+            parent,
+            epoch,
+            shards,
+            tail,
+        })
+    }
+}
+
+/// Encodes a one-shard record with an empty tail whose payload `body`
+/// writes straight into the frame: what
+/// `Frame { shards: vec![payload], tail: &[], .. }.encode()` produces,
+/// without materializing the payload first.
+pub(crate) fn encode_single(
+    base: bool,
+    seq: u64,
+    parent: u64,
+    epoch: u64,
+    body: impl FnOnce(&mut Enc),
+) -> Vec<u8> {
     let mut e = Enc::new();
-    e.raw(&DELTA_MAGIC);
-    e.u16(DELTA_VERSION);
-    e.u8(if base {
-        DELTA_KIND_BASE
-    } else {
-        DELTA_KIND_DELTA
-    });
+    e.raw(&MAGIC);
+    e.u16(VERSION);
+    e.u8(if base { KIND_BASE } else { KIND_DELTA });
     e.u64(seq);
     e.u64(parent);
     e.u64(epoch);
-    e.bytes(payload);
+    e.usize(1);
+    // The payload's length prefix, patched once `body` is done.
+    let at = e.buf.len();
+    e.usize(0);
+    body(&mut e);
+    let len = (e.buf.len() - at - 8) as u64;
+    e.buf[at..at + 8].copy_from_slice(&len.to_le_bytes());
+    e.bytes(&[]);
     e.finish()
-}
-
-/// Mirror of [`write_delta_frame`]: parses and validates the frame,
-/// returning the chain metadata and the payload.
-pub fn read_delta_frame(bytes: &[u8]) -> Result<DeltaFrame, CheckpointError> {
-    let mut d = Dec::new(bytes);
-    d.magic(&DELTA_MAGIC)?;
-    let v = d.u16()?;
-    if v != DELTA_VERSION {
-        return Err(CheckpointError::BadVersion(v));
-    }
-    let base = match d.u8()? {
-        DELTA_KIND_BASE => true,
-        DELTA_KIND_DELTA => false,
-        k => return Err(CheckpointError::Corrupt(format!("delta record kind {k}"))),
-    };
-    let seq = d.u64()?;
-    let parent = d.u64()?;
-    let epoch = d.u64()?;
-    let payload = d.bytes()?;
-    d.expect_end()?;
-    Ok(DeltaFrame {
-        base,
-        seq,
-        parent,
-        epoch,
-        payload,
-    })
 }
 
 /// Errors surfaced while decoding or validating a checkpoint.
@@ -172,76 +207,6 @@ impl fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-/// Writes the shared checkpoint-*container* header — magic, version,
-/// worker count, per-shard blob list — used by both the parallel and
-/// pipeline containers. The caller appends any container-specific
-/// fields to the returned encoder before `finish()`.
-pub fn container_header(magic: &[u8; 4], version: u16, workers: u32, blobs: &[Vec<u8>]) -> Enc {
-    let mut e = Enc::new();
-    e.raw(magic);
-    e.u16(version);
-    e.u32(workers);
-    e.usize(blobs.len());
-    for b in blobs {
-        e.bytes(b);
-    }
-    e
-}
-
-/// Mirror of [`container_header`]: checks the magic and version, reads
-/// the worker count and per-shard blobs (validating the count matches),
-/// and leaves the decoder positioned at the caller's extra fields.
-pub fn read_container(
-    d: &mut Dec<'_>,
-    magic: &[u8; 4],
-    version: u16,
-) -> Result<(u32, Vec<Vec<u8>>), CheckpointError> {
-    d.magic(magic)?;
-    let v = d.u16()?;
-    if v != version {
-        return Err(CheckpointError::BadVersion(v));
-    }
-    let workers = d.u32()?;
-    let n = d.seq_len()?;
-    if n != workers as usize {
-        return Err(CheckpointError::Corrupt(format!(
-            "{n} shard blobs for {workers} workers"
-        )));
-    }
-    let mut blobs = Vec::with_capacity(n);
-    for _ in 0..n {
-        blobs.push(d.bytes()?);
-    }
-    Ok((workers, blobs))
-}
-
-/// Like [`read_container`] but accepting any of several format
-/// versions; returns which one the blob carries so the caller can
-/// branch on tail fields added by later versions.
-pub fn read_container_any(
-    d: &mut Dec<'_>,
-    magic: &[u8; 4],
-    accepted: &[u16],
-) -> Result<(u16, u32, Vec<Vec<u8>>), CheckpointError> {
-    d.magic(magic)?;
-    let v = d.u16()?;
-    if !accepted.contains(&v) {
-        return Err(CheckpointError::BadVersion(v));
-    }
-    let workers = d.u32()?;
-    let n = d.seq_len()?;
-    if n != workers as usize {
-        return Err(CheckpointError::Corrupt(format!(
-            "{n} shard blobs for {workers} workers"
-        )));
-    }
-    let mut blobs = Vec::with_capacity(n);
-    for _ in 0..n {
-        blobs.push(d.bytes()?);
-    }
-    Ok((v, workers, blobs))
-}
-
 /// Binary encoder: appends fixed-width little-endian primitives and
 /// length-prefixed composites to a growable buffer.
 #[derive(Default)]
@@ -253,6 +218,13 @@ impl Enc {
     /// New empty encoder.
     pub fn new() -> Self {
         Enc::default()
+    }
+
+    /// New empty encoder with room for `bytes` bytes.
+    pub fn with_capacity(bytes: usize) -> Self {
+        Enc {
+            buf: Vec::with_capacity(bytes),
+        }
     }
 
     /// Finishes encoding and hands back the blob.
@@ -507,10 +479,10 @@ impl<'a> Dec<'a> {
             .map_err(|e| CheckpointError::Corrupt(format!("invalid utf-8: {e}")))
     }
 
-    /// Length-prefixed byte blob.
-    pub fn bytes(&mut self) -> Result<Vec<u8>, CheckpointError> {
+    /// Length-prefixed byte blob, borrowed from the input.
+    pub fn bytes(&mut self) -> Result<&'a [u8], CheckpointError> {
         let n = self.seq_len()?;
-        Ok(self.take(n)?.to_vec())
+        self.take(n)
     }
 
     /// `Option` presence tag.
@@ -581,7 +553,7 @@ mod tests {
         assert!(d.bool().unwrap());
         assert_eq!(d.duration().unwrap(), Duration::from_micros(1234));
         assert_eq!(d.str().unwrap(), "héllo");
-        assert_eq!(d.bytes().unwrap(), vec![1, 2, 3]);
+        assert_eq!(d.bytes().unwrap(), [1, 2, 3]);
         d.expect_end().unwrap();
     }
 
@@ -653,5 +625,48 @@ mod tests {
         ] {
             assert!(!format!("{e}").is_empty());
         }
+    }
+
+    #[test]
+    fn frame_round_trips_and_rejects_every_prefix() {
+        let f = Frame {
+            base: false,
+            seq: 7,
+            parent: 6,
+            epoch: 2,
+            shards: vec![&[1, 2, 3], &[], &[4]],
+            tail: &[9, 9],
+        };
+        let bytes = f.encode();
+        assert_eq!(
+            bytes.capacity(),
+            bytes.len(),
+            "encode sizes the frame exactly"
+        );
+        assert_eq!(Frame::decode(&bytes).unwrap(), f);
+        for cut in 0..bytes.len() {
+            assert!(Frame::decode(&bytes[..cut]).is_err(), "prefix {cut}");
+        }
+        let mut bumped = bytes.clone();
+        bumped[4] = 9;
+        assert_eq!(Frame::decode(&bumped), Err(CheckpointError::BadVersion(9)));
+        let single = encode_single(true, 3, 0, 1, |e| e.raw(&[5, 6]));
+        let one = Frame {
+            base: true,
+            seq: 3,
+            parent: 0,
+            epoch: 1,
+            shards: vec![&[5, 6]],
+            tail: &[],
+        };
+        assert_eq!(single, one.encode());
+        let empty = Frame {
+            shards: Vec::new(),
+            ..f
+        };
+        assert!(matches!(
+            Frame::decode(&empty.encode()),
+            Err(CheckpointError::Corrupt(_))
+        ));
     }
 }

@@ -600,10 +600,10 @@ pub struct ChurnReport {
 /// arrived first and its trend count.
 type PendingHalf = ((usize, GroupKey, u64), (QueryId, u64));
 
-/// Decoded-but-not-applied content of one delta record: per-group
-/// partition removals/upserts plus the full scalar tail. Staged so a
-/// chain restore can decode every record before committing any
-/// (chain-level decode-then-commit, mirroring [`HamletEngine::restore`]).
+/// Decoded-but-not-applied content of one record's engine payload:
+/// per-group partition removals/upserts plus the full scalar tail (a
+/// base is the same shape with no removals). Staged so a chain restore
+/// can decode every record before committing any.
 struct DeltaStage {
     /// Parallel to `HamletEngine::groups`.
     groups: Vec<GroupDeltaStage>,
@@ -625,6 +625,15 @@ struct GroupDeltaStage {
     removals: Vec<GroupKey>,
     upserts: Vec<(GroupKey, BTreeMap<u64, RunState>)>,
     estimator: DivergenceEstimator,
+}
+
+/// A whole live chain decoded for one engine (see
+/// [`HamletEngine::stage_chain`]): the chain's workload epoch, the tip's
+/// seq, and one stage per record, base first.
+pub(crate) struct StagedChain {
+    epoch: u64,
+    seq: u64,
+    stages: Vec<DeltaStage>,
 }
 
 /// The multi-query trend aggregation engine (§2.2).
@@ -677,8 +686,8 @@ pub struct HamletEngine {
     /// can recompile the workload from scratch.
     queries: Vec<Query>,
     /// Workload epoch: 0 at construction, +1 per successful churn.
-    /// Stamped into checkpoints so restore can reject state taken under
-    /// a different query set generation.
+    /// Stamped into checkpoint records; a chain restore adopts it, and
+    /// stores refuse a delta cut at a different epoch than its chain.
     epoch: u64,
     /// Partitions possibly touched since the last chain cut, as
     /// `(group index, key)`. At cut time a touched key still present is
@@ -694,8 +703,8 @@ pub struct HamletEngine {
     /// engines that never cut pay nothing for the chain machinery.
     track_dirty: bool,
     /// Set when state jumped without going through the dirty log
-    /// (runtime churn, a legacy full `restore`): the next delta cut is
-    /// silently promoted to a base.
+    /// (runtime churn): the next delta cut is silently promoted to a
+    /// base.
     delta_unsound: bool,
 }
 
@@ -1921,319 +1930,6 @@ impl HamletEngine {
         e.finish()
     }
 
-    /// Serializes the engine's complete mutable state into a versioned,
-    /// self-describing blob: every live run (with its snapshot table and
-    /// active graphlets), buffered bursts, pending general-query halves,
-    /// learned divergence statistics, counters, metrics, and the
-    /// watermark. The expiration index is *not* serialized — it is
-    /// derivable (one entry per live run) and
-    /// [`restore`](Self::restore) rebuilds it.
-    ///
-    /// The encoding is deterministic: hash maps are written in their
-    /// canonical total order, so checkpointing the same state twice — or
-    /// checkpointing a just-restored engine — produces identical bytes.
-    ///
-    /// Restoring the blob into a freshly built engine over the same
-    /// workload and continuing the stream yields byte-identical output to
-    /// never having checkpointed (`tests/checkpoint_equivalence.rs`).
-    /// The only state that does not travel is wall-clock arrival stamps
-    /// of in-flight runs (an `Instant` cannot be serialized): latency
-    /// *metrics* for windows open across the checkpoint lose those
-    /// samples, results do not.
-    ///
-    /// See `docs/checkpoint-format.md` for the byte layout.
-    ///
-    /// ```
-    /// use hamlet_core::{EngineConfig, HamletEngine};
-    /// use hamlet_query::parse_query;
-    /// use hamlet_types::{EventBuilder, TypeRegistry};
-    /// use std::sync::Arc;
-    ///
-    /// let mut reg = TypeRegistry::new();
-    /// let a = reg.register("A", &[]);
-    /// let b = reg.register("B", &[]);
-    /// let reg = Arc::new(reg);
-    /// let q = parse_query(&reg, 1, "RETURN COUNT(*) PATTERN SEQ(A, B+) WITHIN 10").unwrap();
-    /// let mk =
-    ///     || HamletEngine::new(reg.clone(), vec![q.clone()], EngineConfig::default()).unwrap();
-    ///
-    /// let mut eng = mk();
-    /// eng.process(&EventBuilder::new(&reg, a, 0).build());
-    /// let blob = eng.checkpoint(); // mid-window: a run is in flight
-    ///
-    /// let mut restored = mk();
-    /// restored.restore(&blob).unwrap();
-    /// assert_eq!(restored.checkpoint(), blob); // round trip is the identity
-    /// // ...and both finish the stream identically.
-    /// let e = EventBuilder::new(&reg, b, 1).build();
-    /// assert_eq!(restored.process(&e), eng.process(&e));
-    /// assert_eq!(restored.flush(), eng.flush());
-    /// ```
-    pub fn checkpoint(&self) -> Vec<u8> {
-        let mut e = crate::checkpoint::Enc::new();
-        e.raw(&crate::checkpoint::ENGINE_MAGIC);
-        e.u16(crate::checkpoint::ENGINE_VERSION);
-        e.u64(self.epoch);
-        e.bytes(&self.fingerprint());
-        e.usize(self.groups.len());
-        for g in &self.groups {
-            // Canonical key order: the partition map is a HashMap.
-            let mut parts: Vec<(&GroupKey, &BTreeMap<u64, RunState>)> =
-                g.partitions.iter().collect();
-            parts.sort_by(|(a, _), (b, _)| a.total_cmp(b));
-            e.usize(parts.len());
-            for (key, runs) in parts {
-                e.group_key(key);
-                e.usize(runs.len());
-                for (&start, rs) in runs {
-                    e.u64(start);
-                    rs.run.encode(&mut e);
-                    match rs.burst_ty {
-                        None => e.some(false),
-                        Some(tl) => {
-                            e.some(true);
-                            e.usize(tl);
-                        }
-                    }
-                    e.usize(rs.burst.len());
-                    for ev in &rs.burst {
-                        e.event(ev);
-                    }
-                    e.u64(rs.burst_extra);
-                    e.u64(rs.burst_pane);
-                }
-            }
-            g.estimator.encode(&mut e);
-        }
-        let mut pending: Vec<_> = self.pending.iter().collect();
-        pending.sort_by(|((ca, ka, sa), _), ((cb, kb, sb), _)| {
-            (ca, sa).cmp(&(cb, sb)).then_with(|| ka.total_cmp(kb))
-        });
-        e.usize(pending.len());
-        for ((ci, key, start), (id, count)) in pending {
-            e.usize(*ci);
-            e.group_key(key);
-            e.u64(*start);
-            e.u32(id.0);
-            e.u64(*count);
-        }
-        self.stats.encode(&mut e);
-        self.latency.encode(&mut e);
-        self.gauge.encode(&mut e);
-        e.u64(self.event_counter);
-        match self.watermark {
-            None => e.some(false),
-            Some(wm) => {
-                e.some(true);
-                e.u64(wm.ticks());
-            }
-        }
-        // v4 tail: per-share-group observability counters (placement
-        // fields are *not* serialized — benefit/shared are re-priced by
-        // the restoring engine's own build/churn, keeping round-trip
-        // identity independent of estimator drift).
-        e.usize(self.obs.len());
-        for m in &self.obs {
-            // Fixed 8-slot layout, mirrored by restore's counter loop.
-            for c in [
-                m.events_routed,
-                m.runs_created,
-                m.runs_expired,
-                m.shared_bursts,
-                m.solo_bursts,
-                m.graphlet_snapshots,
-                m.event_snapshots,
-                m.results_emitted,
-            ] {
-                e.u64(c);
-            }
-        }
-        e.finish()
-    }
-
-    /// Restores the engine's state from a [`checkpoint`](Self::checkpoint)
-    /// blob, replacing whatever state it currently holds.
-    ///
-    /// The engine must have been built ([`HamletEngine::new`]) over the
-    /// same workload and shard configuration the checkpoint was taken
-    /// under — validated via an embedded fingerprint, mismatches return
-    /// [`WorkloadMismatch`](crate::checkpoint::CheckpointError::WorkloadMismatch).
-    /// The watermark expiration index is rebuilt from the restored runs
-    /// (one entry per live run), so expiry behavior continues exactly as
-    /// if the engine had never stopped.
-    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), crate::checkpoint::CheckpointError> {
-        use crate::checkpoint::{CheckpointError, Dec};
-        let mut d = Dec::new(bytes);
-        d.magic(&crate::checkpoint::ENGINE_MAGIC)?;
-        let version = d.u16()?;
-        // v2 blobs predate the workload epoch; they can only describe an
-        // engine that never churned, i.e. epoch 0. v3/v4 carry the epoch
-        // explicitly. Anything else is unknown.
-        let blob_epoch = match version {
-            crate::checkpoint::ENGINE_VERSION | crate::checkpoint::ENGINE_VERSION_V3 => d.u64()?,
-            crate::checkpoint::ENGINE_VERSION_V2 => 0,
-            other => return Err(CheckpointError::BadVersion(other)),
-        };
-        if blob_epoch != self.epoch {
-            return Err(CheckpointError::WorkloadMismatch(format!(
-                "checkpoint was taken at workload epoch {blob_epoch} but the engine is at \
-                 epoch {} — the query set has churned since this checkpoint; restore it \
-                 into an engine whose churn history matches (see set_epoch)",
-                self.epoch
-            )));
-        }
-        let fp = d.bytes()?;
-        if fp != self.fingerprint() {
-            return Err(CheckpointError::WorkloadMismatch(
-                "compiled workload, sharding, or combiners differ from the checkpoint".into(),
-            ));
-        }
-        let n_groups = d.seq_len()?;
-        if n_groups != self.groups.len() {
-            return Err(CheckpointError::WorkloadMismatch(format!(
-                "{n_groups} groups in checkpoint, {} compiled",
-                self.groups.len()
-            )));
-        }
-        // Decode into fresh state first so a corrupt blob cannot leave
-        // the engine half-restored.
-        let mut new_partitions: Vec<HashMap<GroupKey, BTreeMap<u64, RunState>>> = Vec::new();
-        let mut new_estimators = Vec::new();
-        for g in &self.groups {
-            let n_parts = d.seq_len()?;
-            let mut parts: HashMap<GroupKey, BTreeMap<u64, RunState>> =
-                HashMap::with_capacity(n_parts);
-            for _ in 0..n_parts {
-                let key = d.group_key()?;
-                let n_runs = d.seq_len()?;
-                let mut runs = BTreeMap::new();
-                for _ in 0..n_runs {
-                    let start = d.u64()?;
-                    let run = Run::decode(&mut d, g.rt.clone())?;
-                    let burst_ty = if d.some()? {
-                        let tl = d.usize()?;
-                        if tl >= g.rt.template.num_types() {
-                            return Err(CheckpointError::Corrupt(format!(
-                                "burst type {tl} of {}",
-                                g.rt.template.num_types()
-                            )));
-                        }
-                        Some(tl)
-                    } else {
-                        None
-                    };
-                    let n_burst = d.seq_len()?;
-                    let mut burst = Vec::with_capacity(n_burst);
-                    for _ in 0..n_burst {
-                        burst.push(d.event()?);
-                    }
-                    let burst_extra = d.u64()?;
-                    let burst_pane = d.u64()?;
-                    runs.insert(
-                        start,
-                        RunState {
-                            run,
-                            burst_ty,
-                            burst,
-                            burst_extra,
-                            burst_pane,
-                            // Wall-clock stamps do not survive a restore;
-                            // the next arrival re-stamps the run.
-                            last_arrival: None,
-                        },
-                    );
-                }
-                parts.insert(key, runs);
-            }
-            new_partitions.push(parts);
-            new_estimators.push(DivergenceEstimator::decode(
-                &mut d,
-                g.rt.template.num_types(),
-                g.rt.k(),
-            )?);
-        }
-        let n_pending = d.seq_len()?;
-        let mut pending = HashMap::with_capacity(n_pending);
-        for _ in 0..n_pending {
-            let ci = d.usize()?;
-            if ci >= self.combiners.len() {
-                return Err(CheckpointError::Corrupt(format!(
-                    "pending combiner index {ci} out of range"
-                )));
-            }
-            let key = d.group_key()?;
-            let start = d.u64()?;
-            let id = QueryId(d.u32()?);
-            let count = d.u64()?;
-            pending.insert((ci, key, start), (id, count));
-        }
-        let stats = EngineStats::decode(&mut d)?;
-        let latency = LatencyRecorder::decode(&mut d)?;
-        let gauge = MemoryGauge::decode(&mut d)?;
-        let event_counter = d.u64()?;
-        let watermark = if d.some()? { Some(Ts(d.u64()?)) } else { None };
-        // v4 tail: per-group observability counters. Earlier versions
-        // (and blobs from obs-disabled engines, which write length 0)
-        // restore with zeroed counters.
-        let mut obs_counters: Vec<[u64; 8]> = Vec::new();
-        if version == crate::checkpoint::ENGINE_VERSION {
-            let n_obs = d.seq_len()?;
-            if n_obs != 0 && n_obs != self.groups.len() {
-                return Err(CheckpointError::Corrupt(format!(
-                    "{n_obs} observability records for {} groups",
-                    self.groups.len()
-                )));
-            }
-            for _ in 0..n_obs {
-                let mut c = [0u64; 8];
-                for slot in &mut c {
-                    *slot = d.u64()?;
-                }
-                obs_counters.push(c);
-            }
-        }
-        d.expect_end()?;
-
-        // Commit: swap the decoded state in and rebuild the expiration
-        // index — exactly one entry per live run, as process() maintains.
-        for (g, (parts, est)) in self
-            .groups
-            .iter_mut()
-            .zip(new_partitions.into_iter().zip(new_estimators))
-        {
-            g.partitions = parts;
-            g.estimator = est;
-        }
-        self.pending = pending;
-        self.stats = stats;
-        self.latency = latency;
-        self.gauge = gauge;
-        self.event_counter = event_counter;
-        self.watermark = watermark;
-        // Replace the per-group counters wholesale (restore semantics):
-        // a blob without them resets this engine's registry to zero.
-        // Placement fields keep what this engine priced at build/churn.
-        for (gi, m) in self.obs.iter_mut().enumerate() {
-            let c = obs_counters.get(gi).copied().unwrap_or_default();
-            m.events_routed = c[0];
-            m.runs_created = c[1];
-            m.runs_expired = c[2];
-            m.shared_bursts = c[3];
-            m.solo_bursts = c[4];
-            m.graphlet_snapshots = c[5];
-            m.event_snapshots = c[6];
-            m.results_emitted = c[7];
-        }
-        self.rebuild_derived();
-        // A legacy full restore jumps state without going through the
-        // dirty log; any open delta interval is void. restore_chain
-        // re-arms tracking after it finishes replaying.
-        self.dirty_parts.clear();
-        self.dirty_pending.clear();
-        self.delta_unsound = true;
-        Ok(())
-    }
-
     /// Rebuilds the state that is derived rather than serialized after
     /// any wholesale state swap: the watermark expiration index (exactly
     /// one entry per live run, as `process()` maintains) and the event
@@ -2259,32 +1955,26 @@ impl HamletEngine {
     }
 
     /// True when the engine can cut a *sound* delta record: dirty
-    /// tracking is armed (a chain cut happened) and state has not
-    /// jumped past the dirty log since (no churn, no legacy restore).
+    /// tracking is armed (a chain cut or restore happened) and state has
+    /// not jumped past the dirty log since (no churn).
     pub(crate) fn delta_ready(&self) -> bool {
         self.track_dirty && !self.delta_unsound && self.cut_seq > 0
     }
 
-    /// Cuts the next record of this engine's checkpoint chain and
-    /// advances the dirty log: a `Full` cut (or any cut the engine
-    /// cannot prove a sound delta for — the first cut, post-churn,
-    /// post-legacy-restore) emits a base frame wrapping a full
-    /// [`checkpoint`](Self::checkpoint) blob; a `Delta` cut emits only
-    /// the partitions and pending halves touched since the previous
-    /// cut. Restore with [`crate::Snapshot::restore_chain`].
+    /// Cuts the next record of this engine's checkpoint chain — a
+    /// one-shard [`Frame`](crate::checkpoint::Frame) — and advances the
+    /// dirty log. A `Full` cut (or any cut the engine cannot prove a
+    /// sound delta for: the first cut, post-churn) encodes every
+    /// partition and pending half as touched; a `Delta` cut encodes only
+    /// those touched since the previous cut. Restore with
+    /// [`crate::Snapshot::restore_chain`].
     pub(crate) fn cut_record(&mut self, kind: crate::store::CutKind) -> Vec<u8> {
-        use crate::checkpoint::{write_delta_frame, Enc};
         let base = !(matches!(kind, crate::store::CutKind::Delta) && self.delta_ready());
         let seq = self.cut_seq + 1;
-        let payload = if base {
-            self.checkpoint()
-        } else {
-            let mut e = Enc::new();
-            self.encode_delta(&mut e);
-            e.finish()
-        };
         let parent = if base { 0 } else { self.cut_seq };
-        let rec = write_delta_frame(base, seq, parent, self.epoch, &payload);
+        let rec = crate::checkpoint::encode_single(base, seq, parent, self.epoch, |e| {
+            self.encode_state(e, base)
+        });
         self.cut_seq = seq;
         self.track_dirty = true;
         self.delta_unsound = false;
@@ -2293,22 +1983,48 @@ impl HamletEngine {
         rec
     }
 
-    /// Encodes the delta-record payload: everything (possibly) touched
-    /// since the last cut, in the same canonical orders — and the same
-    /// per-run layout — as the full format, plus the full scalar tail
-    /// (estimators, stats, counters, watermark, obs; all small).
-    /// Layout in `docs/checkpoint-format.md`. Mirrored by
-    /// [`decode_delta`](Self::decode_delta).
-    fn encode_delta(&self, e: &mut crate::checkpoint::Enc) {
-        // Split the dirty log per group: a touched key still present is
-        // re-encoded wholesale, a vanished one becomes a removal.
+    /// Encodes this engine's state payload: the workload fingerprint,
+    /// per group the partitions to remove and those to upsert (each
+    /// re-encoded wholesale) plus the divergence estimator, the pending
+    /// general-query halves to remove and to upsert, and the scalar tail
+    /// (stats, metrics, counters, watermark, observability). With `full`
+    /// every partition and pending half counts as touched — a base is
+    /// the delta from an empty engine; otherwise only the dirty log since
+    /// the last cut does. Every list is written in canonical order, so
+    /// the encoding is deterministic. The expiration index is not
+    /// serialized: it is derivable and rebuilt on restore. Layout in
+    /// `docs/checkpoint-format.md`; mirrored by
+    /// [`decode_state`](Self::decode_state).
+    fn encode_state(&self, e: &mut crate::checkpoint::Enc, full: bool) {
         let mut removals: Vec<Vec<&GroupKey>> = vec![Vec::new(); self.groups.len()];
         let mut upserts: Vec<Vec<(&GroupKey, &BTreeMap<u64, RunState>)>> =
             vec![Vec::new(); self.groups.len()];
-        for (gi, key) in &self.dirty_parts {
-            match self.groups[*gi].partitions.get(key) {
-                Some(runs) => upserts[*gi].push((key, runs)),
-                None => removals[*gi].push(key),
+        let mut prem: Vec<&(usize, GroupKey, u64)> = Vec::new();
+        // Borrowed halves of `pending` entries, `(&key, &value)`.
+        let mut pups = Vec::new();
+        if full {
+            for (ups, g) in upserts.iter_mut().zip(&self.groups) {
+                // hamlet-lint: allow(unordered-iter) -- collected here, sorted canonically below before encoding
+                ups.extend(&g.partitions);
+            }
+            // hamlet-lint: allow(unordered-iter) -- collected here, sorted canonically below before encoding
+            pups.extend(&self.pending);
+        } else {
+            // A touched key still present is re-encoded wholesale, a
+            // vanished one becomes a removal.
+            // hamlet-lint: allow(unordered-iter) -- split per group here, sorted canonically below before encoding
+            for (gi, key) in &self.dirty_parts {
+                match self.groups[*gi].partitions.get(key) {
+                    Some(runs) => upserts[*gi].push((key, runs)),
+                    None => removals[*gi].push(key),
+                }
+            }
+            // hamlet-lint: allow(unordered-iter) -- split here, sorted canonically below before encoding
+            for slot in &self.dirty_pending {
+                match self.pending.get_key_value(slot) {
+                    Some(kv) => pups.push(kv),
+                    None => prem.push(slot),
+                }
             }
         }
         for v in &mut removals {
@@ -2316,15 +2032,6 @@ impl HamletEngine {
         }
         for v in &mut upserts {
             v.sort_by(|(a, _), (b, _)| a.total_cmp(b));
-        }
-        let mut prem: Vec<&(usize, GroupKey, u64)> = Vec::new();
-        // Borrowed halves of `pending` entries, `(&key, &value)`.
-        let mut pups = Vec::new();
-        for slot in &self.dirty_pending {
-            match self.pending.get_key_value(slot) {
-                Some(kv) => pups.push(kv),
-                None => prem.push(slot),
-            }
         }
         prem.sort_by(|(ca, ka, sa), (cb, kb, sb)| {
             (ca, sa).cmp(&(cb, sb)).then_with(|| ka.total_cmp(kb))
@@ -2389,9 +2096,13 @@ impl HamletEngine {
                 e.u64(wm.ticks());
             }
         }
+        // Per-share-group observability counters (placement fields are
+        // *not* serialized — benefit/shared are re-priced by the
+        // restoring engine's own build/churn, keeping round-trip identity
+        // independent of estimator drift).
         e.usize(self.obs.len());
         for m in &self.obs {
-            // Fixed 8-slot layout, shared with the full format.
+            // Fixed 8-slot layout, mirrored by decode_state's counter loop.
             for c in [
                 m.events_routed,
                 m.runs_created,
@@ -2407,11 +2118,11 @@ impl HamletEngine {
         }
     }
 
-    /// Decodes one delta-record payload into a [`DeltaStage`] without
-    /// touching engine state (validated against this engine's workload
-    /// fingerprint and bounds). Mirror of
-    /// [`encode_delta`](Self::encode_delta).
-    fn decode_delta(
+    /// Decodes one state payload into a [`DeltaStage`] without touching
+    /// engine state, validated against this engine's workload
+    /// fingerprint and bounds. Mirror of
+    /// [`encode_state`](Self::encode_state).
+    fn decode_state(
         &self,
         d: &mut crate::checkpoint::Dec,
     ) -> Result<DeltaStage, crate::checkpoint::CheckpointError> {
@@ -2419,13 +2130,13 @@ impl HamletEngine {
         let fp = d.bytes()?;
         if fp != self.fingerprint() {
             return Err(CheckpointError::WorkloadMismatch(
-                "compiled workload, sharding, or combiners differ from the delta record".into(),
+                "compiled workload, sharding, or combiners differ from the checkpoint".into(),
             ));
         }
         let n_groups = d.seq_len()?;
         if n_groups != self.groups.len() {
             return Err(CheckpointError::WorkloadMismatch(format!(
-                "{n_groups} groups in delta record, {} compiled",
+                "{n_groups} groups in checkpoint, {} compiled",
                 self.groups.len()
             )));
         }
@@ -2472,8 +2183,8 @@ impl HamletEngine {
                             burst,
                             burst_extra,
                             burst_pane,
-                            // As in a full restore: wall-clock stamps do
-                            // not survive; the next arrival re-stamps.
+                            // Wall-clock stamps do not survive a restore;
+                            // the next arrival re-stamps the run.
                             last_arrival: None,
                         },
                     );
@@ -2520,6 +2231,8 @@ impl HamletEngine {
         let gauge = MemoryGauge::decode(d)?;
         let event_counter = d.u64()?;
         let watermark = if d.some()? { Some(Ts(d.u64()?)) } else { None };
+        // Payloads from obs-disabled engines write length 0 and restore
+        // with zeroed counters.
         let n_obs = d.seq_len()?;
         if n_obs != 0 && n_obs != self.groups.len() {
             return Err(CheckpointError::Corrupt(format!(
@@ -2549,31 +2262,36 @@ impl HamletEngine {
         })
     }
 
-    /// Replays one staged delta on top of the current state. Pure state
-    /// mutation — all validation happened in
-    /// [`decode_delta`](Self::decode_delta). Derived state (expiry
-    /// index, arena) is rebuilt once by the caller after the last delta.
-    fn apply_delta(&mut self, s: DeltaStage) {
+    /// Applies one staged payload on top of the current state — onto an
+    /// emptied engine when `base`. Pure state mutation: all validation
+    /// happened in [`decode_state`](Self::decode_state). Derived state
+    /// (expiry index, arena) is rebuilt once by the caller after the
+    /// last record.
+    fn apply_state(&mut self, s: DeltaStage, base: bool) {
         for (g, gs) in self.groups.iter_mut().zip(s.groups) {
+            if base {
+                g.partitions = HashMap::with_capacity(gs.upserts.len());
+            }
             for key in gs.removals {
                 g.partitions.remove(&key);
             }
-            for (key, runs) in gs.upserts {
-                g.partitions.insert(key, runs);
-            }
+            g.partitions.extend(gs.upserts);
             g.estimator = gs.estimator;
+        }
+        if base {
+            self.pending = HashMap::with_capacity(s.pending_upserts.len());
         }
         for slot in s.pending_removals {
             self.pending.remove(&slot);
         }
-        for (slot, val) in s.pending_upserts {
-            self.pending.insert(slot, val);
-        }
+        self.pending.extend(s.pending_upserts);
         self.stats = s.stats;
         self.latency = s.latency;
         self.gauge = s.gauge;
         self.event_counter = s.event_counter;
         self.watermark = s.watermark;
+        // Replace the per-group counters wholesale; placement fields keep
+        // what this engine priced at build/churn.
         for (gi, m) in self.obs.iter_mut().enumerate() {
             let c = s.obs.get(gi).copied().unwrap_or_default();
             m.events_routed = c[0];
@@ -2587,106 +2305,60 @@ impl HamletEngine {
         }
     }
 
-    /// Restores the engine from an ordered checkpoint chain: the last
-    /// base record (earlier records are obsolete history a store may
-    /// legitimately still hold) followed by its contiguous deltas.
-    /// Validates the whole chain — linkage (`parent` == predecessor
-    /// `seq`), epoch uniformity, workload fingerprints — and decodes
-    /// every record before committing any state. A bare engine blob
-    /// ([`checkpoint`](Self::checkpoint)) is accepted as a chain of one.
-    pub(crate) fn restore_chain_bytes(
-        &mut self,
-        records: &[&[u8]],
-    ) -> Result<(), crate::checkpoint::CheckpointError> {
-        use crate::checkpoint::{read_delta_frame, CheckpointError, Dec, DeltaFrame, DELTA_MAGIC};
-        if records.is_empty() {
-            return Err(CheckpointError::Corrupt("empty checkpoint chain".into()));
-        }
-        let mut frames = Vec::with_capacity(records.len());
-        for r in records {
-            if r.len() >= 4 && r[..4] == DELTA_MAGIC {
-                frames.push(read_delta_frame(r)?);
-            } else {
-                // A bare engine blob restores as a chain of one base.
-                frames.push(DeltaFrame {
-                    base: true,
-                    seq: 0,
-                    parent: 0,
-                    epoch: checkpoint_epoch(r)?,
-                    payload: r.to_vec(),
-                });
-            }
-        }
-        let Some(base_idx) = frames.iter().rposition(|f| f.base) else {
-            return Err(CheckpointError::Corrupt(
-                "checkpoint chain has no base record".into(),
-            ));
-        };
-        let chain = &frames[base_idx..];
-        let chain_epoch = chain[0].epoch;
-        if checkpoint_epoch(&chain[0].payload)? != chain_epoch {
-            return Err(CheckpointError::Corrupt(
-                "base frame epoch disagrees with its payload".into(),
-            ));
-        }
-        for w in chain.windows(2) {
-            if w[1].epoch != chain_epoch {
+    /// Decodes this engine's payload from every record of a validated
+    /// live chain (base first, as [`crate::store`] hands it over)
+    /// without committing anything. A sharded engine
+    /// (`EngineConfig::shard` = `(i, n)`) reads payload `i` of
+    /// `n`-shard records; an unsharded one reads the only payload.
+    pub(crate) fn stage_chain(
+        &self,
+        frames: &[crate::checkpoint::Frame<'_>],
+    ) -> Result<StagedChain, crate::checkpoint::CheckpointError> {
+        use crate::checkpoint::{CheckpointError, Dec};
+        let (idx, total) = self.cfg.shard.unwrap_or((0, 1));
+        let mut stages = Vec::with_capacity(frames.len());
+        for f in frames {
+            if f.shards.len() != total as usize {
                 return Err(CheckpointError::WorkloadMismatch(format!(
-                    "delta seq {} was cut at workload epoch {} but the chain base is at \
-                     epoch {chain_epoch} — the query set churned mid-chain",
-                    w[1].seq, w[1].epoch
+                    "record holds {} shard payload(s), this engine is shard {idx} of {total}",
+                    f.shards.len()
                 )));
             }
-            if w[1].parent != w[0].seq {
-                return Err(CheckpointError::Corrupt(format!(
-                    "broken checkpoint chain: record seq {} expects parent seq {} but \
-                     follows seq {}",
-                    w[1].seq, w[1].parent, w[0].seq
-                )));
-            }
+            stages.push(self.decode_state(&mut Dec::new(f.shards[idx as usize]))?);
         }
-        // Stage every delta before committing anything; the bounds they
-        // are validated against (groups, combiners) are workload-derived
-        // and unchanged by the base restore below.
-        let mut stages = Vec::with_capacity(chain.len().saturating_sub(1));
-        for f in &chain[1..] {
-            let mut d = Dec::new(&f.payload);
-            stages.push(self.decode_delta(&mut d)?);
-        }
-        let saved_epoch = self.epoch;
-        self.epoch = chain_epoch;
-        if let Err(e) = self.restore(&chain[0].payload) {
-            self.epoch = saved_epoch;
-            return Err(e);
-        }
-        for s in stages {
-            self.apply_delta(s);
+        let (Some(first), Some(last)) = (frames.first(), frames.last()) else {
+            return Err(CheckpointError::Corrupt("empty checkpoint chain".into()));
+        };
+        Ok(StagedChain {
+            epoch: first.epoch,
+            seq: last.seq,
+            stages,
+        })
+    }
+
+    /// Commits a [`stage_chain`](Self::stage_chain) result: adopts the
+    /// chain's workload epoch, applies the base onto an emptied engine
+    /// and each delta in order, rebuilds derived state once, and arms a
+    /// fresh dirty log so the next delta cut extends the chain.
+    pub(crate) fn commit_chain(&mut self, staged: StagedChain) {
+        self.epoch = staged.epoch;
+        for (i, s) in staged.stages.into_iter().enumerate() {
+            self.apply_state(s, i == 0);
         }
         self.rebuild_derived();
-        self.cut_seq = chain.last().map(|f| f.seq).unwrap_or(0);
+        self.cut_seq = staged.seq;
         self.track_dirty = true;
         self.delta_unsound = false;
         self.dirty_parts.clear();
         self.dirty_pending.clear();
-        Ok(())
     }
 
     /// The engine's workload epoch: 0 at construction, +1 per successful
     /// [`add_query`](Self::add_query) / [`remove_query`](Self::remove_query).
-    /// Every checkpoint is stamped with it, and [`restore`](Self::restore)
-    /// rejects blobs from a different epoch.
+    /// Every checkpoint record is stamped with it, and a chain restore
+    /// adopts the chain's.
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// Declares the engine's workload epoch without churning, for
-    /// restoring a checkpoint taken *after* churn into a freshly built
-    /// engine: build with the final query set
-    /// ([`HamletEngine::new`] starts at epoch 0), set the epoch the blob
-    /// reports ([`checkpoint_epoch`]), then [`restore`](Self::restore).
-    /// Only meaningful on an engine with no live state.
-    pub fn set_epoch(&mut self, epoch: u64) {
-        self.epoch = epoch;
     }
 
     /// The registered (original, pre-decomposition) query set.
@@ -3049,21 +2721,6 @@ impl HamletEngine {
             benefit: total_benefit,
             shared,
         }
-    }
-}
-
-/// Reads the workload epoch stamped in an engine checkpoint without
-/// restoring it (v2 blobs predate epochs and report 0). Used by the
-/// parallel/pipeline resume paths to [`HamletEngine::set_epoch`] freshly
-/// built engines before handing them the blob.
-pub fn checkpoint_epoch(bytes: &[u8]) -> Result<u64, crate::checkpoint::CheckpointError> {
-    use crate::checkpoint::{CheckpointError, Dec};
-    let mut d = Dec::new(bytes);
-    d.magic(&crate::checkpoint::ENGINE_MAGIC)?;
-    match d.u16()? {
-        crate::checkpoint::ENGINE_VERSION | crate::checkpoint::ENGINE_VERSION_V3 => d.u64(),
-        crate::checkpoint::ENGINE_VERSION_V2 => Ok(0),
-        other => Err(CheckpointError::BadVersion(other)),
     }
 }
 
@@ -3658,6 +3315,16 @@ mod tests {
         }
     }
 
+    /// The engine's complete state: the payload of a full cut.
+    fn full_state(eng: &mut HamletEngine) -> Vec<u8> {
+        use crate::store::{CutKind, Snapshot};
+        let ck = eng.cut(CutKind::Full).unwrap();
+        crate::checkpoint::Frame::decode(ck.as_bytes())
+            .unwrap()
+            .shards[0]
+            .to_vec()
+    }
+
     #[test]
     fn empty_batch_is_a_noop() {
         let (reg, a, b, _) = registry();
@@ -3669,13 +3336,13 @@ mod tests {
         // emit — the checkpoint pins every bit of engine state.
         let mut eng = mk();
         assert!(eng.process_batch(&[]).is_empty());
-        assert_eq!(eng.checkpoint(), mk().checkpoint());
+        assert_eq!(full_state(&mut eng), full_state(&mut mk()));
         // Mid-stream, with open runs pending: still byte-for-byte inert.
         eng.process(&ev(&reg, a, 1, 0, 0.0));
         eng.process(&ev(&reg, b, 2, 0, 0.0));
-        let before = eng.checkpoint();
+        let before = full_state(&mut eng);
         assert!(eng.process_batch(&[]).is_empty());
-        assert_eq!(eng.checkpoint(), before);
+        assert_eq!(full_state(&mut eng), before);
         assert_eq!(eng.flush().len(), 1);
     }
 
@@ -3711,14 +3378,14 @@ mod tests {
         // must still see those bytes.
         assert_eq!(eng.live_state_bytes(), 0);
         assert!(eng.state_bytes() > 0);
-        // restore() drops the pool: a restored engine accounts like a
+        // A restore drops the pool: a restored engine accounts like a
         // fresh one.
-        let blob = eng.checkpoint();
+        let base = crate::store::Snapshot::cut(&mut eng, crate::store::CutKind::Full).unwrap();
         let mut resumed = mk();
         resumed.process_batch(&events);
         resumed.flush();
         assert!(resumed.state_bytes() > 0);
-        resumed.restore(&blob).unwrap();
+        crate::store::Snapshot::restore_chain(&mut resumed, &[base]).unwrap();
         assert_eq!(resumed.state_bytes(), 0);
     }
 
@@ -3868,12 +3535,13 @@ mod tests {
         assert_eq!(starts.len(), out.len(), "duplicate window emission");
     }
 
-    /// Checkpoint mid-stream, restore into a fresh engine, continue:
-    /// suffix output and final flush are byte-identical to the
-    /// uninterrupted run, and a checkpoint of the restored engine is
-    /// byte-identical to the original blob (round-trip identity).
+    /// Cut mid-stream, restore into a fresh engine, continue: suffix
+    /// output and final flush are byte-identical to the uninterrupted
+    /// run, and the restored engine's next full cut is byte-identical to
+    /// the original's (round-trip identity).
     #[test]
     fn checkpoint_restore_continue_is_identical() {
+        use crate::store::{CutKind, Snapshot};
         let (reg, a, b, c) = registry();
         let mk = || {
             let mut q1 = Query::count_star(1, seq(a, b), Window::new(10, 5));
@@ -3904,11 +3572,16 @@ mod tests {
             for e in &evs[..cut] {
                 let _ = first.process(e);
             }
-            let blob = first.checkpoint();
+            let base = first.cut(CutKind::Full).unwrap();
+            let next = first.cut(CutKind::Full).unwrap();
             drop(first); // the "kill"
             let mut resumed = mk();
-            resumed.restore(&blob).unwrap();
-            assert_eq!(resumed.checkpoint(), blob, "round-trip identity at {cut}");
+            resumed.restore_chain(&[base]).unwrap();
+            assert_eq!(
+                resumed.cut(CutKind::Full).unwrap(),
+                next,
+                "round-trip identity at {cut}"
+            );
             for (i, e) in evs[cut..].iter().enumerate() {
                 assert_eq!(
                     resumed.process(e),
@@ -3926,23 +3599,26 @@ mod tests {
         }
     }
 
-    /// A checkpoint refuses to restore into a different workload or
-    /// sharding, and corrupt blobs fail cleanly.
+    /// A record refuses to restore into a different workload or
+    /// sharding, corrupt payloads fail cleanly, and no failed restore
+    /// touches the engine.
     #[test]
     fn restore_validates_fingerprint_and_blob() {
-        use crate::checkpoint::CheckpointError;
+        use crate::checkpoint::{CheckpointError, Frame};
+        use crate::store::{Checkpoint, CutKind, Snapshot};
         let (reg, a, b, c) = registry();
         let q1 = Query::count_star(1, seq(a, b), Window::tumbling(10));
         let mut eng =
             HamletEngine::new(reg.clone(), vec![q1.clone()], EngineConfig::default()).unwrap();
         let _ = eng.process(&ev(&reg, a, 1, 0, 0.0));
-        let blob = eng.checkpoint();
+        let base = eng.cut(CutKind::Full).unwrap();
+        let next = eng.cut(CutKind::Full).unwrap();
 
         // Different workload.
         let q2 = Query::count_star(2, seq(c, b), Window::tumbling(10));
         let mut other = HamletEngine::new(reg.clone(), vec![q2], EngineConfig::default()).unwrap();
         assert!(matches!(
-            other.restore(&blob),
+            other.restore_chain(std::slice::from_ref(&base)),
             Err(CheckpointError::WorkloadMismatch(_))
         ));
 
@@ -3957,23 +3633,41 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(
-            sharded.restore(&blob),
+            sharded.restore_chain(std::slice::from_ref(&base)),
             Err(CheckpointError::WorkloadMismatch(_))
         ));
 
-        // Garbage and truncation.
+        // Garbage, and a payload truncated inside a well-formed frame.
+        assert_eq!(
+            Checkpoint::from_bytes(b"nope".to_vec()),
+            Err(CheckpointError::BadMagic)
+        );
+        let f = Frame::decode(base.as_bytes()).unwrap();
+        let payload = f.shards[0];
+        let short = Frame {
+            shards: vec![&payload[..payload.len() - 3]],
+            ..f.clone()
+        };
+        let short = Checkpoint::from_bytes(short.encode()).unwrap();
         let mut fresh = HamletEngine::new(reg.clone(), vec![q1], EngineConfig::default()).unwrap();
-        assert_eq!(fresh.restore(b"nope"), Err(CheckpointError::BadMagic));
-        assert!(fresh.restore(&blob[..blob.len() - 3]).is_err());
-        // The failed restores did not corrupt the fresh engine.
-        fresh.restore(&blob).unwrap();
-        assert_eq!(fresh.checkpoint(), blob);
+        let untouched = fresh.cut(CutKind::Full).unwrap();
+        assert!(fresh.restore_chain(&[short]).is_err());
+        // The failed restores did not touch the fresh engine...
+        let again = fresh.cut(CutKind::Full).unwrap();
+        assert_eq!(
+            Frame::decode(again.as_bytes()).unwrap().shards,
+            Frame::decode(untouched.as_bytes()).unwrap().shards
+        );
+        // ...which still restores the intact record.
+        fresh.restore_chain(&[base]).unwrap();
+        assert_eq!(fresh.cut(CutKind::Full).unwrap(), next);
     }
 
     /// The expiration index is rebuilt on restore: exactly one live entry
     /// per restored run, and expiry continues to drain them.
     #[test]
     fn restore_rebuilds_expiry_index() {
+        use crate::store::{CutKind, Snapshot};
         let (reg, a, b, _) = registry();
         let q1 = Query::count_star(1, seq(a, b), Window::new(10, 5));
         let mut eng =
@@ -3983,10 +3677,10 @@ mod tests {
         }
         let live = eng.expiry_index_len();
         assert!(live > 0);
-        let blob = eng.checkpoint();
+        let base = eng.cut(CutKind::Full).unwrap();
         let mut resumed =
             HamletEngine::new(reg.clone(), vec![q1], EngineConfig::default()).unwrap();
-        resumed.restore(&blob).unwrap();
+        resumed.restore_chain(&[base]).unwrap();
         assert_eq!(resumed.expiry_index_len(), live);
         let _ = resumed.flush();
         assert_eq!(resumed.expiry_index_len(), 0, "flush drains rebuilt index");
@@ -4242,11 +3936,13 @@ mod tests {
         assert_eq!(eng.queries().len(), 1);
     }
 
-    /// Checkpoint after churn restores only into an engine at the same
-    /// epoch; cross-epoch and pre-churn blobs are rejected with a clear
-    /// error; v2-era semantics (epoch 0) keep working.
+    /// Records are stamped with the workload epoch: a record cut after
+    /// churn restores into a fresh engine over the final query set,
+    /// which adopts the record's epoch and continues byte-identically;
+    /// a pre-churn record no longer restores into the churned engine.
     #[test]
-    fn churn_versions_the_checkpoint_epoch() {
+    fn churn_stamps_the_record_epoch() {
+        use crate::store::{CutKind, Snapshot};
         let (reg, a, b, c) = registry();
         let q1 = Query::count_star(1, seq(a, b), Window::tumbling(20));
         let q2 = Query::count_star(2, seq(c, b), Window::tumbling(20));
@@ -4261,32 +3957,25 @@ mod tests {
         for e in &evs[..40] {
             out.extend(eng.process(e));
         }
-        let pre_churn_blob = eng.checkpoint();
-        assert_eq!(
-            crate::executor::checkpoint_epoch(&pre_churn_blob).unwrap(),
-            0
-        );
+        let pre_churn = eng.cut(CutKind::Full).unwrap();
+        assert_eq!(pre_churn.epoch(), 0);
         let rep = eng.remove_query(QueryId(2)).unwrap();
         out.extend(rep.drained);
         for e in &evs[40..60] {
             out.extend(eng.process(e));
         }
-        let blob = eng.checkpoint();
-        assert_eq!(crate::executor::checkpoint_epoch(&blob).unwrap(), 1);
+        let post_churn = eng.cut(CutKind::Delta).unwrap();
+        assert!(
+            !post_churn.is_delta(),
+            "churn promotes the next cut to a base"
+        );
+        assert_eq!(post_churn.epoch(), 1);
 
-        // Restoring into a fresh engine over the final query set fails
-        // without the epoch — the clear cross-epoch error…
+        // A fresh engine over the final query set adopts the epoch.
         let mut fresh =
             HamletEngine::new(reg.clone(), vec![q1.clone()], EngineConfig::default()).unwrap();
-        match fresh.restore(&blob) {
-            Err(crate::checkpoint::CheckpointError::WorkloadMismatch(msg)) => {
-                assert!(msg.contains("epoch"), "unhelpful error: {msg}");
-            }
-            other => panic!("expected WorkloadMismatch, got {other:?}"),
-        }
-        // …and succeeds once the epoch is declared.
-        fresh.set_epoch(1);
-        fresh.restore(&blob).unwrap();
+        fresh.restore_chain(&[post_churn]).unwrap();
+        assert_eq!(fresh.epoch(), 1);
         let mut resumed = Vec::new();
         for e in &evs[60..] {
             resumed.extend(fresh.process(e));
@@ -4299,7 +3988,7 @@ mod tests {
         direct.extend(eng.flush());
         assert_eq!(direct, resumed, "restored suffix is byte-identical");
 
-        // The pre-churn blob no longer restores into the churned engine.
+        // The pre-churn record no longer restores into the churned engine.
         let mut eng2 = HamletEngine::new(
             reg.clone(),
             vec![q1.clone(), q2.clone()],
@@ -4308,7 +3997,7 @@ mod tests {
         .unwrap();
         eng2.remove_query(QueryId(2)).unwrap();
         assert!(matches!(
-            eng2.restore(&pre_churn_blob),
+            eng2.restore_chain(&[pre_churn]),
             Err(crate::checkpoint::CheckpointError::WorkloadMismatch(_))
         ));
     }

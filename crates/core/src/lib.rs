@@ -57,16 +57,13 @@ pub mod workload;
 
 pub use checkpoint::CheckpointError;
 pub use executor::{
-    checkpoint_epoch, sort_results, AggValue, ChurnError, ChurnOp, ChurnReport, EngineConfig,
-    EngineError, EngineStats, GroupPlacement, HamletEngine, WindowResult,
+    sort_results, AggValue, ChurnError, ChurnOp, ChurnReport, EngineConfig, EngineError,
+    EngineStats, GroupPlacement, HamletEngine, WindowResult,
 };
 pub use hamlet_obs::{GroupMetrics, Span, SpanRecorder, Stage};
 pub use metrics::{LatencyHistogram, LatencyRecorder};
 pub use optimizer::SharingPolicy;
-pub use parallel::{
-    ParallelCheckpoint, ParallelCheckpointReport, ParallelEngine, ParallelReport, ParallelSession,
-    DEFAULT_BATCH,
-};
+pub use parallel::{ParallelEngine, ParallelReport, ParallelSession, DEFAULT_BATCH};
 pub use run::{BurstCtx, GroupRuntime, MemberOutput, Run, RunStats};
 pub use store::{
     Checkpoint, CheckpointKind, CheckpointStore, CutKind, DirStore, MemStore, Snapshot,

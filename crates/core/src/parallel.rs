@@ -40,10 +40,10 @@
 //! routing over bounded per-shard channels and drains to the same
 //! bit-identical merged output.
 
-use crate::checkpoint::{self, CheckpointError, Dec};
+use crate::checkpoint::CheckpointError;
 use crate::executor::{
-    checkpoint_epoch, sort_results, ChurnError, ChurnOp, EngineConfig, EngineError, EngineStats,
-    HamletEngine, WindowResult,
+    sort_results, ChurnError, ChurnOp, EngineConfig, EngineError, EngineStats, HamletEngine,
+    WindowResult,
 };
 use crate::metrics::LatencyRecorder;
 use hamlet_obs::{merge_group_metrics, GroupMetrics};
@@ -62,24 +62,24 @@ pub const DEFAULT_BATCH: usize = 1024;
 const PIPELINE_DEPTH: usize = 4;
 
 /// What one worker returns: results, stats, latency recorder, peak
-/// bytes, per-share-group observability counters, and — when the run
-/// ends at a checkpoint barrier instead of a flush — the shard's
-/// serialized engine state.
+/// bytes, and per-share-group observability counters.
 type WorkerOutput = (
     Vec<WindowResult>,
     EngineStats,
     LatencyRecorder,
     usize,
     Vec<GroupMetrics>,
-    Option<Vec<u8>>,
 );
 
-/// How a parallel run ends: drain every window (`flush`) or freeze the
-/// per-shard engine state at a coordinated barrier (`checkpoint`).
-#[derive(Copy, Clone, PartialEq, Eq)]
-enum EndMode {
-    Flush,
-    Checkpoint,
+/// Everything a finished shard engine reports, `results` first.
+fn worker_output(results: Vec<WindowResult>, eng: &HamletEngine) -> WorkerOutput {
+    (
+        results,
+        *eng.stats(),
+        eng.latency().clone(),
+        eng.peak_memory(),
+        eng.group_metrics().to_vec(),
+    )
 }
 
 /// What the router sends a shard worker during a churned run: a routed
@@ -102,82 +102,6 @@ fn apply_op(eng: &mut HamletEngine, op: ChurnOp) -> Vec<WindowResult> {
         // hamlet-lint: allow(panic-hygiene) -- a shard failing a pre-validated churn must not run past the cut; the panic surfaces at join
         .expect("churn ops validated before execution started")
         .drained
-}
-
-/// Magic tag opening a serialized [`ParallelCheckpoint`] container.
-pub const PARALLEL_MAGIC: [u8; 4] = *b"HMPC";
-/// Container format version.
-pub const PARALLEL_VERSION: u16 = 1;
-
-/// A coordinated checkpoint of a parallel run: one engine checkpoint per
-/// shard, all taken at the same stream barrier (no shard has seen an
-/// event another shard has not been offered).
-///
-/// Produced by [`ParallelEngine::run_to_checkpoint`], consumed by
-/// [`ParallelEngine::resume`]. Because every partition is owned by
-/// exactly one shard, the union of shard states *is* the engine state:
-/// resuming and finishing the stream emits byte-identically to an
-/// uninterrupted run (`tests/checkpoint_equivalence.rs`).
-pub struct ParallelCheckpoint {
-    workers: u32,
-    /// Per-shard engine blobs (index = shard).
-    shards: Vec<Vec<u8>>,
-}
-
-impl ParallelCheckpoint {
-    /// Worker count the checkpoint was taken under (a checkpoint only
-    /// restores into the same sharding — partition ownership depends on
-    /// it).
-    pub fn workers(&self) -> u32 {
-        self.workers
-    }
-
-    /// Serialized size across all shards, in bytes.
-    pub fn total_bytes(&self) -> usize {
-        self.shards.iter().map(Vec::len).sum()
-    }
-
-    /// Per-shard blob sizes, in bytes.
-    pub fn shard_bytes(&self) -> Vec<usize> {
-        self.shards.iter().map(Vec::len).collect()
-    }
-
-    /// Serializes the container (magic, version, per-shard blobs) for
-    /// file persistence.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        checkpoint::container_header(
-            &PARALLEL_MAGIC,
-            PARALLEL_VERSION,
-            self.workers,
-            &self.shards,
-        )
-        .finish()
-    }
-
-    /// Mirror of [`to_bytes`](Self::to_bytes).
-    pub fn from_bytes(bytes: &[u8]) -> Result<ParallelCheckpoint, CheckpointError> {
-        let mut d = Dec::new(bytes);
-        let (workers, shards) =
-            checkpoint::read_container(&mut d, &PARALLEL_MAGIC, PARALLEL_VERSION)?;
-        d.expect_end()?;
-        Ok(ParallelCheckpoint { workers, shards })
-    }
-}
-
-/// What [`ParallelEngine::run_to_checkpoint`] hands back: the results
-/// emitted *before* the barrier, the coordinated checkpoint, and how
-/// long the barrier pause took.
-pub struct ParallelCheckpointReport {
-    /// Results emitted before the checkpoint barrier, in the same
-    /// canonical order [`ParallelReport::results`] guarantees. Windows
-    /// still open at the barrier are inside the checkpoint, not here.
-    pub report: ParallelReport,
-    /// The coordinated per-shard checkpoint.
-    pub checkpoint: ParallelCheckpoint,
-    /// Drain-barrier pause: from the moment routing stopped until every
-    /// shard had drained its queue and serialized its state — the time a
-    /// live system would be unavailable for new events.
-    pub pause: Duration,
 }
 
 /// Result of a parallel run: the merged, deterministically ordered window
@@ -345,40 +269,29 @@ impl ParallelEngine {
     /// the caller never needs the whole stream in one slice. Input batch
     /// boundaries only affect pipelining granularity, not results.
     pub fn run_batches<'a>(&self, batches: impl Iterator<Item = &'a [Event]>) -> ParallelReport {
-        self.execute(batches, None, EndMode::Flush)
-            // hamlet-lint: allow(panic-hygiene) -- execute() without a restore blob has no error path (checkpoint decode is the only failure)
-            .expect("no checkpoint to restore, engines validated in new")
-            .report
-    }
-
-    /// Processes a stream *prefix*, then takes a **coordinated
-    /// checkpoint** at the barrier instead of flushing: routing stops,
-    /// every shard drains its queue and serializes its engine. The
-    /// returned report carries the results emitted before the barrier
-    /// (canonically sorted); windows still open travel inside the
-    /// checkpoint and emit after [`resume`](Self::resume).
-    pub fn run_to_checkpoint(&self, events: &[Event]) -> ParallelCheckpointReport {
-        self.execute(events.chunks(self.batch), None, EndMode::Checkpoint)
-            // hamlet-lint: allow(panic-hygiene) -- execute() without a restore blob has no error path (checkpoint decode is the only failure)
-            .expect("no checkpoint to restore, engines validated in new")
-    }
-
-    /// Restores every shard from a coordinated checkpoint and finishes
-    /// the stream: feed the events *after* the checkpoint barrier, drain
-    /// with a full flush. `checkpoint.workers()` must equal this engine's
-    /// worker count and the workload must match (validated per shard via
-    /// the engine fingerprint).
-    ///
-    /// Appending these results to the pre-barrier results and sorting
-    /// canonically is byte-identical to one uninterrupted
-    /// [`run`](Self::run) over the whole stream.
-    pub fn resume(
-        &self,
-        checkpoint: &ParallelCheckpoint,
-        events: &[Event],
-    ) -> Result<ParallelReport, CheckpointError> {
-        self.execute(events.chunks(self.batch), Some(checkpoint), EndMode::Flush)
-            .map(|x| x.report)
+        // hamlet-lint: allow(wallclock) -- run-duration measurement for the report
+        let t0 = Instant::now();
+        let mut events_total = 0u64;
+        let outputs = if self.workers == 1 {
+            // Degenerate case: no routing, no threads — the baseline the
+            // scaling experiments compare against.
+            let mut eng =
+                HamletEngine::new(self.reg.clone(), self.queries.clone(), self.shard_cfg(0))
+                    // hamlet-lint: allow(panic-hygiene) -- the same config already built an engine in ParallelEngine::new; reconstruction is deterministic
+                    .expect("validated in ParallelEngine::new");
+            let mut out = Vec::new();
+            for batch in batches {
+                events_total += batch.len() as u64;
+                out.extend(eng.process_batch(batch));
+            }
+            out.extend(eng.flush());
+            vec![worker_output(out, &eng)]
+        } else {
+            self.run_sharded(batches, &mut events_total)
+        };
+        let mut report = merge_outputs(outputs, events_total);
+        report.wall = t0.elapsed();
+        report
     }
 
     /// Processes a finite stream with **runtime query churn**: each
@@ -459,14 +372,7 @@ impl ParallelEngine {
                 out.extend(eng.process_batch(chunk));
             }
             out.extend(eng.flush());
-            vec![(
-                out,
-                *eng.stats(),
-                eng.latency().clone(),
-                eng.peak_memory(),
-                eng.group_metrics().to_vec(),
-                None,
-            )]
+            vec![worker_output(out, &eng)]
         } else {
             let batch = self.batch;
             let workers = self.workers;
@@ -493,14 +399,7 @@ impl ParallelEngine {
                             }
                         }
                         out.extend(eng.flush());
-                        (
-                            out,
-                            *eng.stats(),
-                            eng.latency().clone(),
-                            eng.peak_memory(),
-                            eng.group_metrics().to_vec(),
-                            None,
-                        )
+                        worker_output(out, &eng)
                     }));
                 }
                 let mut buffers: Vec<Vec<Event>> =
@@ -569,23 +468,7 @@ impl ParallelEngine {
         }
         self.queries = sim;
 
-        let mut report = ParallelReport {
-            results: Vec::new(),
-            stats: Vec::new(),
-            peak_mem: Vec::new(),
-            latency: Vec::new(),
-            group_metrics: Vec::new(),
-            events: events_total,
-            wall: Duration::ZERO,
-        };
-        for (results, stats, latency, peak, groups, _) in outputs {
-            report.results.extend(results);
-            report.stats.push(stats);
-            report.latency.push(latency);
-            report.peak_mem.push(peak);
-            report.group_metrics.push(groups);
-        }
-        sort_results(&mut report.results);
+        let mut report = merge_outputs(outputs, events_total);
         report.wall = t0.elapsed();
         Ok(report)
     }
@@ -599,187 +482,34 @@ impl ParallelEngine {
         cfg
     }
 
-    /// Routes the stream to `workers` shard engines and ends in the
-    /// requested mode. On a resume, every engine is built **and
-    /// restored** up front on the caller's thread, so checkpoint errors
-    /// surface synchronously; on a fresh run, engines are built inside
-    /// their worker threads (workload compilation overlaps with
-    /// routing, as it always did — `new()` already validated it).
-    fn execute<'a>(
-        &self,
-        batches: impl Iterator<Item = &'a [Event]>,
-        restore: Option<&ParallelCheckpoint>,
-        mode: EndMode,
-    ) -> Result<ParallelCheckpointReport, CheckpointError> {
-        // hamlet-lint: allow(wallclock) -- run-duration measurement for the report
-        let t0 = Instant::now();
-        let n = self.workers as usize;
-        let mut epoch = None;
-        if let Some(c) = restore {
-            if c.workers != self.workers {
-                return Err(CheckpointError::WorkloadMismatch(format!(
-                    "checkpoint taken under {} workers, resuming under {}",
-                    c.workers, self.workers
-                )));
-            }
-            // All shards of a coordinated checkpoint were taken at the
-            // same barrier, so they must agree on the workload epoch; a
-            // mixed container is corrupt, not restorable shard-by-shard.
-            for s in &c.shards {
-                let e = checkpoint_epoch(s)?;
-                match epoch {
-                    None => epoch = Some(e),
-                    Some(e0) if e0 != e => {
-                        return Err(CheckpointError::WorkloadMismatch(format!(
-                            "mixed workload epochs in checkpoint container ({e0} vs {e})"
-                        )))
-                    }
-                    Some(_) => {}
-                }
-            }
-        }
-        let mut engines: Vec<Option<HamletEngine>> = Vec::with_capacity(n);
-        for idx in 0..n {
-            engines.push(match restore {
-                None => None, // built inside the worker thread
-                Some(c) => {
-                    let mut eng = HamletEngine::new(
-                        self.reg.clone(),
-                        self.queries.clone(),
-                        self.shard_cfg(idx),
-                    )
-                    // hamlet-lint: allow(panic-hygiene) -- the same config already built an engine in ParallelEngine::new; reconstruction is deterministic
-                    .expect("validated in ParallelEngine::new");
-                    if let Some(e) = epoch {
-                        // This engine's query set must be the checkpoint's
-                        // post-churn set (the fingerprint still validates
-                        // that); adopt the blob's churn generation.
-                        eng.set_epoch(e);
-                    }
-                    eng.restore(&c.shards[idx])?;
-                    Some(eng)
-                }
-            });
-        }
-
-        let mut events_total = 0u64;
-        let (outputs, pause) = if n == 1 {
-            // Degenerate case: no routing, no threads — the baseline the
-            // scaling experiments compare against.
-            // hamlet-lint: allow(panic-hygiene) -- engines was built with exactly one slot per worker above
-            let mut eng = engines.pop().expect("one slot").unwrap_or_else(|| {
-                HamletEngine::new(self.reg.clone(), self.queries.clone(), self.shard_cfg(0))
-                    // hamlet-lint: allow(panic-hygiene) -- the same config already built an engine in ParallelEngine::new; reconstruction is deterministic
-                    .expect("validated in ParallelEngine::new")
-            });
-            let mut out = Vec::new();
-            for batch in batches {
-                events_total += batch.len() as u64;
-                out.extend(eng.process_batch(batch));
-            }
-            // hamlet-lint: allow(wallclock) -- barrier-pause measurement for the report
-            let barrier = Instant::now();
-            let ckpt = match mode {
-                EndMode::Flush => {
-                    out.extend(eng.flush());
-                    None
-                }
-                EndMode::Checkpoint => Some(eng.checkpoint()),
-            };
-            let pause = barrier.elapsed();
-            (
-                vec![(
-                    out,
-                    *eng.stats(),
-                    eng.latency().clone(),
-                    eng.peak_memory(),
-                    eng.group_metrics().to_vec(),
-                    ckpt,
-                )],
-                pause,
-            )
-        } else {
-            self.run_sharded(engines, batches, &mut events_total, mode)
-        };
-
-        let mut report = ParallelReport {
-            results: Vec::new(),
-            stats: Vec::new(),
-            peak_mem: Vec::new(),
-            latency: Vec::new(),
-            group_metrics: Vec::new(),
-            events: events_total,
-            wall: Duration::ZERO,
-        };
-        let mut shards = Vec::with_capacity(n);
-        for (results, stats, latency, peak, groups, ckpt) in outputs {
-            report.results.extend(results);
-            report.stats.push(stats);
-            report.latency.push(latency);
-            report.peak_mem.push(peak);
-            report.group_metrics.push(groups);
-            if let Some(c) = ckpt {
-                shards.push(c);
-            }
-        }
-        sort_results(&mut report.results);
-        report.wall = t0.elapsed();
-        Ok(ParallelCheckpointReport {
-            report,
-            checkpoint: ParallelCheckpoint {
-                workers: self.workers,
-                shards,
-            },
-            pause,
-        })
-    }
-
-    /// Routes batches to `workers` shard-owning engines on worker
-    /// threads. A `None` slot means "build your engine yourself" —
-    /// compilation then overlaps with routing on the worker thread.
+    /// Routes batches to `workers` shard-owning engines, each built on
+    /// its worker thread (workload compilation overlaps with routing —
+    /// `new()` already validated it), and flushes them at end of stream.
     fn run_sharded<'a>(
         &self,
-        engines: Vec<Option<HamletEngine>>,
         batches: impl Iterator<Item = &'a [Event]>,
         events_total: &mut u64,
-        mode: EndMode,
-    ) -> (Vec<WorkerOutput>, Duration) {
+    ) -> Vec<WorkerOutput> {
         let n = self.workers as usize;
         std::thread::scope(|scope| {
             let mut txs = Vec::with_capacity(n);
             let mut handles = Vec::with_capacity(n);
-            for (idx, pre_built) in engines.into_iter().enumerate() {
+            for idx in 0..n {
                 let (tx, rx) = mpsc::sync_channel::<Vec<Event>>(PIPELINE_DEPTH);
                 txs.push(tx);
                 let (reg, queries, cfg) =
                     (self.reg.clone(), self.queries.clone(), self.shard_cfg(idx));
                 handles.push(scope.spawn(move || {
-                    let mut eng = pre_built.unwrap_or_else(|| {
-                        HamletEngine::new(reg, queries, cfg)
-                            // hamlet-lint: allow(panic-hygiene) -- the same config already built an engine in ParallelEngine::new; reconstruction is deterministic
-                            .expect("validated in ParallelEngine::new")
-                    });
+                    let mut eng = HamletEngine::new(reg, queries, cfg)
+                        // hamlet-lint: allow(panic-hygiene) -- the same config already built an engine in ParallelEngine::new; reconstruction is deterministic
+                        .expect("validated in ParallelEngine::new");
                     let mut out = Vec::new();
                     while let Ok(batch) = rx.recv() {
                         out.extend(eng.process_batch(&batch));
                     }
-                    // Channel closed: the barrier. Flush drains every
-                    // window; checkpoint freezes them instead.
-                    let ckpt = match mode {
-                        EndMode::Flush => {
-                            out.extend(eng.flush());
-                            None
-                        }
-                        EndMode::Checkpoint => Some(eng.checkpoint()),
-                    };
-                    (
-                        out,
-                        *eng.stats(),
-                        eng.latency().clone(),
-                        eng.peak_memory(),
-                        eng.group_metrics().to_vec(),
-                        ckpt,
-                    )
+                    // Channel closed: the end-of-stream barrier.
+                    out.extend(eng.flush());
+                    worker_output(out, &eng)
                 }));
             }
             let mut buffers: Vec<Vec<Event>> =
@@ -812,17 +542,37 @@ impl ParallelEngine {
                     let _ = txs[idx].send(buf);
                 }
             }
-            drop(txs); // end-of-stream barrier: workers drain, then flush or checkpoint
-                       // hamlet-lint: allow(wallclock) -- barrier-pause measurement for the report
-            let barrier = Instant::now();
-            let outputs = handles
+            drop(txs); // end-of-stream barrier: workers drain, then flush
+            handles
                 .into_iter()
                 // hamlet-lint: allow(panic-hygiene) -- join propagates a worker panic; swallowing it would fake a clean run
                 .map(|h| h.join().expect("worker thread panicked"))
-                .collect();
-            (outputs, barrier.elapsed())
+                .collect()
         })
     }
+}
+
+/// Folds per-worker outputs into a report with canonically sorted
+/// results (the caller stamps `wall`).
+fn merge_outputs(outputs: Vec<WorkerOutput>, events: u64) -> ParallelReport {
+    let mut report = ParallelReport {
+        results: Vec::new(),
+        stats: Vec::new(),
+        peak_mem: Vec::new(),
+        latency: Vec::new(),
+        group_metrics: Vec::new(),
+        events,
+        wall: Duration::ZERO,
+    };
+    for (results, stats, latency, peak, groups) in outputs {
+        report.results.extend(results);
+        report.stats.push(stats);
+        report.latency.push(latency);
+        report.peak_mem.push(peak);
+        report.group_metrics.push(groups);
+    }
+    sort_results(&mut report.results);
+    report
 }
 
 /// A live partition-parallel session (see [`ParallelEngine::session`]):
@@ -831,12 +581,11 @@ impl ParallelEngine {
 /// is identical across worker counts, call boundary by call boundary.
 ///
 /// Implements [`crate::Snapshot`]: [`cut`](crate::Snapshot::cut) takes
-/// a coordinated per-shard chain record (every shard at the same stream
-/// position — the caller is between `process` calls, so no shard has
-/// seen an event another has not been offered) and packs them into one
-/// `HMPC` container; [`restore_chain`](crate::Snapshot::restore_chain)
-/// decomposes a container chain back into per-shard chains. On a
-/// restore error the session may be partially restored — discard it.
+/// a coordinated cut of every shard (all at the same stream position —
+/// the caller is between `process` calls, so no shard has seen an event
+/// another has not been offered) and packs the payloads into one
+/// shard-set record; [`restore_chain`](crate::Snapshot::restore_chain)
+/// restores every shard from such a chain, all or nothing.
 pub struct ParallelSession {
     workers: u32,
     /// Routing-only engine (never processes events); see
@@ -909,6 +658,12 @@ impl ParallelSession {
     pub fn workers(&self) -> u32 {
         self.workers
     }
+
+    /// Sum of the shards' peak byte-accounted state (the same upper
+    /// bound as [`ParallelReport::total_peak_mem`]).
+    pub fn peak_memory(&self) -> usize {
+        self.engines.iter().map(HamletEngine::peak_memory).sum()
+    }
 }
 
 impl crate::store::Snapshot for ParallelSession {
@@ -916,44 +671,32 @@ impl crate::store::Snapshot for ParallelSession {
         &mut self,
         kind: crate::store::CutKind,
     ) -> Result<crate::store::Checkpoint, CheckpointError> {
-        // The record kind must be uniform across shards (the container
-        // handle peeks the first shard and speaks for all): a delta cut
-        // happens only when *every* shard can prove one sound.
+        use crate::store::{Checkpoint, CutKind};
+        // The record kind is uniform across shards: a delta cut happens
+        // only when *every* shard can prove one sound.
         let kind = match kind {
-            crate::store::CutKind::Delta if self.engines.iter().all(HamletEngine::delta_ready) => {
-                crate::store::CutKind::Delta
-            }
-            _ => crate::store::CutKind::Full,
+            CutKind::Delta if self.engines.iter().all(HamletEngine::delta_ready) => CutKind::Delta,
+            _ => CutKind::Full,
         };
-        let blobs: Vec<Vec<u8>> = self
+        let parts = self
             .engines
             .iter_mut()
-            .map(|e| e.cut_record(kind))
-            .collect();
-        let bytes =
-            checkpoint::container_header(&PARALLEL_MAGIC, PARALLEL_VERSION, self.workers, &blobs)
-                .finish();
-        crate::store::Checkpoint::from_bytes(bytes)
+            .map(|e| e.cut(kind))
+            .collect::<Result<Vec<_>, _>>()?;
+        Checkpoint::join(&parts, &[])
     }
 
+    /// Decodes every shard's payloads from the whole chain before any
+    /// shard commits, so an error leaves the session untouched.
     fn restore_chain(&mut self, chain: &[crate::store::Checkpoint]) -> Result<(), CheckpointError> {
-        let n = self.engines.len();
-        let mut per_shard: Vec<Vec<Vec<u8>>> = vec![Vec::new(); n];
-        for ck in chain {
-            let pc = ParallelCheckpoint::from_bytes(ck.as_bytes())?;
-            if pc.workers != self.workers || pc.shards.len() != n {
-                return Err(CheckpointError::WorkloadMismatch(format!(
-                    "checkpoint taken under {} workers, restoring under {}",
-                    pc.workers, self.workers
-                )));
-            }
-            for (idx, blob) in pc.shards.into_iter().enumerate() {
-                per_shard[idx].push(blob);
-            }
-        }
-        for (eng, records) in self.engines.iter_mut().zip(&per_shard) {
-            let refs: Vec<&[u8]> = records.iter().map(Vec::as_slice).collect();
-            eng.restore_chain_bytes(&refs)?;
+        let frames = crate::store::live_frames(chain)?;
+        let staged = self
+            .engines
+            .iter()
+            .map(|eng| eng.stage_chain(&frames))
+            .collect::<Result<Vec<_>, _>>()?;
+        for (eng, s) in self.engines.iter_mut().zip(staged) {
+            eng.commit_chain(s);
         }
         Ok(())
     }
@@ -1145,11 +888,12 @@ mod tests {
         }
     }
 
-    /// Checkpoint at an arbitrary barrier, resume, finish: the union of
-    /// pre-barrier and post-resume results is byte-identical to one
-    /// uninterrupted run, at 1 and several workers.
+    /// Full cut at an arbitrary barrier, restore into a fresh session,
+    /// finish: the union of pre-barrier and post-restore results is
+    /// byte-identical to one uninterrupted run, at 1 and several workers.
     #[test]
     fn checkpoint_resume_matches_uninterrupted() {
+        use crate::store::{Checkpoint, CutKind, Snapshot};
         let (reg, queries, events) = setup();
         for workers in [1u32, 4] {
             let eng = ParallelEngine::new(
@@ -1161,41 +905,86 @@ mod tests {
             .unwrap();
             let gold = eng.run(&events);
             for cut in [0usize, 63, events.len()] {
-                let pre = eng.run_to_checkpoint(&events[..cut]);
-                assert_eq!(pre.checkpoint.workers(), workers);
-                assert_eq!(pre.checkpoint.shard_bytes().len(), workers as usize);
-                assert!(pre.checkpoint.total_bytes() > 0);
-                // Serialize/deserialize the container as a file would.
-                let blob = pre.checkpoint.to_bytes();
-                let restored = ParallelCheckpoint::from_bytes(&blob).unwrap();
-                let post = eng.resume(&restored, &events[cut..]).unwrap();
-                let mut all = pre.report.results.clone();
-                all.extend(post.results);
+                let mut pre = eng.session();
+                let mut all = pre.process(&events[..cut]);
+                let ck = pre.cut(CutKind::Full).unwrap();
+                // Serialize/deserialize the record as a file would.
+                let ck = Checkpoint::from_bytes(ck.into_bytes()).unwrap();
+                let mut post = eng.session();
+                post.restore_chain(&[ck]).unwrap();
+                all.extend(post.process(&events[cut..]));
+                all.extend(post.flush());
                 sort_results(&mut all);
                 assert_eq!(all, gold.results, "{workers} workers, cut {cut}");
             }
         }
     }
 
-    /// Worker-count and container mismatches are clean errors.
+    /// Worker-count mismatches and garbage are clean errors.
     #[test]
-    fn resume_validates_worker_count_and_container() {
+    fn restore_validates_worker_count_and_record() {
+        use crate::store::{Checkpoint, CutKind, Snapshot};
         let (reg, queries, events) = setup();
         let four =
             ParallelEngine::new(reg.clone(), queries.clone(), EngineConfig::default(), 4).unwrap();
-        let pre = four.run_to_checkpoint(&events[..50]);
+        let mut sess = four.session();
+        sess.process(&events[..50]);
+        let ck = sess.cut(CutKind::Full).unwrap();
         let two =
             ParallelEngine::new(reg.clone(), queries.clone(), EngineConfig::default(), 2).unwrap();
         assert!(matches!(
-            two.resume(&pre.checkpoint, &events[50..]),
+            two.session().restore_chain(std::slice::from_ref(&ck)),
             Err(CheckpointError::WorkloadMismatch(_))
         ));
         assert!(matches!(
-            ParallelCheckpoint::from_bytes(b"garbage!"),
+            Checkpoint::from_bytes(b"garbage!".to_vec()),
             Err(CheckpointError::BadMagic)
         ));
-        let blob = pre.checkpoint.to_bytes();
-        assert!(ParallelCheckpoint::from_bytes(&blob[..blob.len() - 2]).is_err());
+        let blob = ck.as_bytes();
+        assert!(Checkpoint::from_bytes(blob[..blob.len() - 2].to_vec()).is_err());
+    }
+
+    /// Restore is all or nothing: a chain whose last shard payload is
+    /// corrupt fails after every other shard decoded fine, and leaves
+    /// the session cutting exactly what an untouched twin cuts.
+    #[test]
+    fn failed_restore_leaves_the_session_untouched() {
+        use crate::checkpoint::Frame;
+        use crate::store::{Checkpoint, CutKind, Snapshot};
+        let (reg, queries, events) = setup();
+        let par = ParallelEngine::new(reg, queries, EngineConfig::default(), 4).unwrap();
+        let mut src = par.session();
+        src.process(&events[..120]);
+        let base = src.cut(CutKind::Full).unwrap();
+        src.process(&events[120..160]);
+        let delta = src.cut(CutKind::Delta).unwrap();
+        assert!(delta.is_delta());
+        let f = Frame::decode(delta.as_bytes()).unwrap();
+        let last = f.shards[3];
+        let mut shards = f.shards.clone();
+        shards[3] = &last[..last.len() - 1];
+        let broken = Checkpoint::from_bytes(
+            Frame {
+                shards,
+                ..f.clone()
+            }
+            .encode(),
+        )
+        .unwrap();
+
+        // Twins restored from the same base hold bit-identical state,
+        // wall-clock telemetry included.
+        let (mut victim, mut twin) = (par.session(), par.session());
+        for s in [&mut victim, &mut twin] {
+            s.restore_chain(std::slice::from_ref(&base)).unwrap();
+        }
+        assert!(victim.restore_chain(&[base, broken]).is_err());
+        assert_eq!(
+            victim.cut(CutKind::Full).unwrap(),
+            twin.cut(CutKind::Full).unwrap()
+        );
+        assert_eq!(victim.process(&events[120..]), twin.process(&events[120..]));
+        assert_eq!(victim.flush(), twin.flush());
     }
 
     /// Runtime churn at a coordinated barrier: results are identical
@@ -1260,58 +1049,46 @@ mod tests {
         ));
     }
 
-    /// A checkpoint taken after churn resumes into a `ParallelEngine`
-    /// built with the final query set (the blob's epoch is adopted from
-    /// the container), and rejects an engine whose set never churned.
+    /// A record cut after churn restores into a session built with the
+    /// final query set (the record's epoch is adopted), and is rejected
+    /// by a session whose set never churned.
     #[test]
     fn post_churn_checkpoint_resumes_with_epoch() {
+        use crate::store::{CutKind, Snapshot};
         let (reg, queries, events) = setup();
-        // Drive a single-shard churned prefix through the core engine to
-        // get a post-churn parallel container.
-        let mut eng = ParallelEngine::new(
-            reg.clone(),
-            vec![queries[0].clone(), queries[1].clone()],
-            EngineConfig::default(),
-            1,
-        )
-        .unwrap();
-        let _ = eng
-            .run_with_churn(&events[..100], &[(50, ChurnOp::Remove(QueryId(2)))])
-            .unwrap();
-        // Build the same churned state directly on a core engine and
-        // checkpoint it as a 1-worker container.
+        // The churned state, built directly on a core engine: a 1-worker
+        // session restores an engine record as its single shard.
         let mut core =
             HamletEngine::new(reg.clone(), queries.clone(), EngineConfig::default()).unwrap();
-        let mut pre = Vec::new();
         for e in &events[..50] {
-            pre.extend(core.process(e));
+            core.process(e);
         }
-        let rep = core.remove_query(QueryId(2)).unwrap();
-        pre.extend(rep.drained);
+        core.remove_query(QueryId(2)).unwrap();
         for e in &events[50..100] {
-            pre.extend(core.process(e));
+            core.process(e);
         }
-        let container = ParallelCheckpoint {
-            workers: 1,
-            shards: vec![core.checkpoint()],
-        };
+        let ck = core.cut(CutKind::Full).unwrap();
+        assert_eq!(ck.epoch(), 1);
         // Resume with the final (one-query) workload: epoch adopted.
         let final_set = vec![queries[0].clone()];
-        let resumed = ParallelEngine::new(reg.clone(), final_set, EngineConfig::default(), 1)
+        let mut resumed = ParallelEngine::new(reg.clone(), final_set, EngineConfig::default(), 1)
             .unwrap()
-            .resume(&container, &events[100..])
-            .unwrap();
+            .session();
+        resumed.restore_chain(std::slice::from_ref(&ck)).unwrap();
+        let mut got = resumed.process(&events[100..]);
+        got.extend(resumed.flush());
         let mut direct = Vec::new();
         for e in &events[100..] {
             direct.extend(core.process(e));
         }
         direct.extend(core.flush());
         sort_results(&mut direct);
-        assert_eq!(direct, resumed.results);
-        // An engine over the pre-churn two-query set cannot restore it.
+        assert_eq!(direct, got);
+        // A session over the pre-churn two-query set cannot restore it.
         let err = ParallelEngine::new(reg.clone(), queries.clone(), EngineConfig::default(), 1)
             .unwrap()
-            .resume(&container, &events[100..]);
+            .session()
+            .restore_chain(&[ck]);
         assert!(matches!(err, Err(CheckpointError::WorkloadMismatch(_))));
     }
 

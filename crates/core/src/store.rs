@@ -59,16 +59,13 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use crate::checkpoint::{
-    read_delta_frame, CheckpointError, Dec, DELTA_MAGIC, ENGINE_MAGIC, ENGINE_VERSION,
-    ENGINE_VERSION_V2, ENGINE_VERSION_V3,
-};
+use crate::checkpoint::{CheckpointError, Dec, Frame};
 use crate::executor::HamletEngine;
 
 /// What kind of chain record to ask a [`Snapshot::cut`] for. `Delta`
 /// is a *request*: a layer that cannot prove a sound delta (first cut,
-/// post-churn, post-legacy-restore) silently promotes it to a full
-/// base — check [`Checkpoint::is_delta`] on the result for the truth.
+/// post-churn) silently promotes it to a full base — check
+/// [`Checkpoint::is_delta`] on the result for the truth.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CutKind {
     /// Snapshot everything: starts a new chain.
@@ -80,114 +77,84 @@ pub enum CutKind {
 /// What a [`Checkpoint`] actually holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckpointKind {
-    /// A complete snapshot (a bare engine blob, a base chain record, or
-    /// a container whose shards hold either).
+    /// A complete snapshot: starts a chain.
     Full,
     /// An incremental record, meaningful only on top of its parent.
     Delta,
 }
 
 /// A typed handle on one checkpoint record: the raw bytes plus the
-/// metadata every store and resume path needs — kind, format version,
-/// workload epoch, chain position, fingerprint — peeked from the frame
-/// headers without decoding the state payload.
+/// metadata every store and resume path needs — kind, workload epoch,
+/// chain position, fingerprint — read from the frame header without
+/// decoding the state payloads. The record's structure (every shard
+/// payload and the tail) is validated on construction.
 ///
-/// For the container formats (`HMPC`/`HMPL`), chain metadata is taken
-/// from the first shard's record: coordinated cuts stamp every shard
-/// with the same kind, seq, and epoch.
+/// For a shard-set record the fingerprint is the first shard's:
+/// coordinated cuts stamp every shard with the same kind, seq, and
+/// epoch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Checkpoint {
     bytes: Vec<u8>,
     kind: CheckpointKind,
-    version: u16,
     epoch: u64,
     seq: u64,
     parent: Option<u64>,
     fingerprint: Vec<u8>,
 }
 
-/// Chain metadata peeked from a record's frame headers.
-type PeekedMeta = (CheckpointKind, u16, u64, u64, Option<u64>, Vec<u8>);
-
-/// Peeks `(kind, version, epoch, seq, parent, fingerprint)` from any
-/// known record format, recursing through frames and containers.
-fn peek_meta(bytes: &[u8]) -> Result<PeekedMeta, CheckpointError> {
-    if bytes.len() < 4 {
-        return Err(CheckpointError::BadMagic);
-    }
-    let magic: [u8; 4] = [bytes[0], bytes[1], bytes[2], bytes[3]];
-    if magic == ENGINE_MAGIC {
-        // Bare engine blob = a full snapshot at chain seq 0.
-        let mut d = Dec::new(bytes);
-        d.magic(&ENGINE_MAGIC)?;
-        let v = d.u16()?;
-        let epoch = match v {
-            ENGINE_VERSION | ENGINE_VERSION_V3 => d.u64()?,
-            ENGINE_VERSION_V2 => 0,
-            other => return Err(CheckpointError::BadVersion(other)),
-        };
-        let fp = d.bytes()?;
-        return Ok((CheckpointKind::Full, v, epoch, 0, None, fp));
-    }
-    if magic == DELTA_MAGIC {
-        let f = read_delta_frame(bytes)?;
-        if f.base {
-            // The payload is a full engine blob; its fingerprint is the
-            // chain's.
-            let (_, v, _, _, _, fp) = peek_meta(&f.payload)?;
-            return Ok((CheckpointKind::Full, v, f.epoch, f.seq, None, fp));
-        }
-        // Delta payloads open with the workload fingerprint.
-        let mut d = Dec::new(&f.payload);
-        let fp = d.bytes()?;
-        return Ok((
-            CheckpointKind::Delta,
-            crate::checkpoint::DELTA_VERSION,
-            f.epoch,
-            f.seq,
-            Some(f.parent),
-            fp,
-        ));
-    }
-    // The two container formats share one header shape: magic, version,
-    // worker count, per-shard blobs (`HMPL` is defined by the pipeline
-    // crate, but its layout is specified alongside ours in
-    // docs/checkpoint-format.md, so peeking it here is sound).
-    if &magic == b"HMPC" || &magic == b"HMPL" {
-        let mut d = Dec::new(bytes);
-        d.magic(&magic)?;
-        let container_version = d.u16()?;
-        let workers = d.u32()?;
-        let n = d.seq_len()?;
-        if workers == 0 || n == 0 {
-            return Err(CheckpointError::Corrupt(
-                "container checkpoint with no shards".into(),
-            ));
-        }
-        let first = d.bytes()?;
-        let (kind, _, epoch, seq, parent, fp) = peek_meta(&first)?;
-        return Ok((kind, container_version, epoch, seq, parent, fp));
-    }
-    Err(CheckpointError::BadMagic)
-}
-
 impl Checkpoint {
-    /// Wraps raw record bytes, peeking and validating the frame
-    /// metadata (magic, version, chain position) without decoding the
-    /// state payload. Accepts every format this workspace writes: bare
-    /// engine blobs (`HMEN`), chain records (`HMDL`), and the parallel
-    /// and pipeline containers (`HMPC`/`HMPL`).
+    /// Wraps raw record bytes, parsing and validating the frame (magic,
+    /// version, shard payloads, tail) without decoding the state
+    /// payloads.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Checkpoint, CheckpointError> {
-        let (kind, version, epoch, seq, parent, fingerprint) = peek_meta(&bytes)?;
+        let f = Frame::decode(&bytes)?;
+        // Every engine payload opens with its workload fingerprint.
+        let fingerprint = Dec::new(f.shards[0]).bytes()?.to_vec();
+        let (kind, parent) = if f.base {
+            (CheckpointKind::Full, None)
+        } else {
+            (CheckpointKind::Delta, Some(f.parent))
+        };
+        let (epoch, seq) = (f.epoch, f.seq);
         Ok(Checkpoint {
             bytes,
             kind,
-            version,
             epoch,
             seq,
             parent,
             fingerprint,
         })
+    }
+
+    /// Packs the single-shard records a shard set's engines cut at one
+    /// barrier — one per shard, in shard order — into one record that
+    /// carries `tail` after the shard payloads. The parts must agree on
+    /// kind, chain position and epoch, as lockstep cuts always do.
+    pub fn join(parts: &[Checkpoint], tail: &[u8]) -> Result<Checkpoint, CheckpointError> {
+        let frames = parts
+            .iter()
+            .map(|p| Frame::decode(p.as_bytes()))
+            .collect::<Result<Vec<_>, _>>()?;
+        let Some(first) = frames.first() else {
+            return Err(CheckpointError::Corrupt("no shard records to join".into()));
+        };
+        let mut shards = Vec::with_capacity(frames.len());
+        for f in &frames {
+            let lockstep = (f.base, f.seq, f.parent, f.epoch)
+                == (first.base, first.seq, first.parent, first.epoch);
+            if !lockstep || f.shards.len() != 1 || !f.tail.is_empty() {
+                return Err(CheckpointError::Corrupt(
+                    "shard records to join were not cut in lockstep".into(),
+                ));
+            }
+            shards.push(f.shards[0]);
+        }
+        let joined = Frame {
+            shards,
+            tail,
+            ..first.clone()
+        };
+        Checkpoint::from_bytes(joined.encode())
     }
 
     /// What this record holds: a full snapshot or an incremental delta.
@@ -201,18 +168,12 @@ impl Checkpoint {
         self.kind == CheckpointKind::Delta
     }
 
-    /// The outermost frame's format version.
-    pub fn version(&self) -> u16 {
-        self.version
-    }
-
     /// The workload epoch the record was cut at.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
 
-    /// Chain sequence number (0 for legacy bare blobs, which predate
-    /// chains).
+    /// Chain sequence number (the first cut of an engine is 1).
     pub fn seq(&self) -> u64 {
         self.seq
     }
@@ -223,8 +184,8 @@ impl Checkpoint {
         self.parent
     }
 
-    /// The workload fingerprint stamped into the record (for
-    /// containers: the first shard's).
+    /// The workload fingerprint stamped into the record (for a shard
+    /// set: the first shard's).
     pub fn fingerprint(&self) -> &[u8] {
         &self.fingerprint
     }
@@ -250,6 +211,38 @@ impl Checkpoint {
     }
 }
 
+/// Parses the live part of an ordered chain — its last full record and
+/// the deltas after it (earlier records are obsolete history a store
+/// may legitimately still hold) — and validates it: contiguous linkage
+/// (`parent` == predecessor `seq`) and one workload epoch.
+pub(crate) fn live_frames(chain: &[Checkpoint]) -> Result<Vec<Frame<'_>>, CheckpointError> {
+    let Some(base_idx) = chain.iter().rposition(|c| !c.is_delta()) else {
+        return Err(CheckpointError::Corrupt(if chain.is_empty() {
+            "empty checkpoint chain".into()
+        } else {
+            "checkpoint chain has no base record".into()
+        }));
+    };
+    let live = &chain[base_idx..];
+    for w in live.windows(2) {
+        if w[1].epoch != live[0].epoch {
+            return Err(CheckpointError::WorkloadMismatch(format!(
+                "delta seq {} was cut at workload epoch {} but the chain base is at \
+                 epoch {} — the query set churned mid-chain",
+                w[1].seq, w[1].epoch, live[0].epoch
+            )));
+        }
+        if w[1].parent != Some(w[0].seq) {
+            return Err(CheckpointError::Corrupt(format!(
+                "broken checkpoint chain: record seq {} expects parent seq {:?} but \
+                 follows seq {}",
+                w[1].seq, w[1].parent, w[0].seq
+            )));
+        }
+    }
+    live.iter().map(|c| Frame::decode(c.as_bytes())).collect()
+}
+
 /// The one checkpoint surface every layer implements — the engine
 /// ([`HamletEngine`]), the parallel session
 /// ([`crate::parallel::ParallelSession`]), and the live pipeline
@@ -260,13 +253,14 @@ impl Checkpoint {
 pub trait Snapshot {
     /// Cuts the next chain record. A `Delta` request is promoted to a
     /// full base whenever a sound delta cannot be proven (first cut,
-    /// after runtime churn, after a legacy full restore).
+    /// after runtime churn).
     fn cut(&mut self, kind: CutKind) -> Result<Checkpoint, CheckpointError>;
 
     /// Restores state from an ordered chain: the last full record in
-    /// the slice and its contiguous deltas. Validates linkage, epoch
-    /// uniformity, and workload fingerprints before committing any
-    /// state.
+    /// the slice and its contiguous deltas. The layer adopts the chain's
+    /// workload epoch. Validates linkage, epoch uniformity, and workload
+    /// fingerprints, and decodes every record, before committing any
+    /// state: on error the layer is unchanged.
     fn restore_chain(&mut self, chain: &[Checkpoint]) -> Result<(), CheckpointError>;
 }
 
@@ -275,9 +269,13 @@ impl Snapshot for HamletEngine {
         Checkpoint::from_bytes(self.cut_record(kind))
     }
 
+    /// A sharded engine (`EngineConfig::shard` = `(i, n)`) restores
+    /// shard `i`'s payload from `n`-shard records, so each engine of a
+    /// shard set can restore itself from the set's chain.
     fn restore_chain(&mut self, chain: &[Checkpoint]) -> Result<(), CheckpointError> {
-        let records: Vec<&[u8]> = chain.iter().map(|c| c.as_bytes()).collect();
-        self.restore_chain_bytes(&records)
+        let staged = self.stage_chain(&live_frames(chain)?)?;
+        self.commit_chain(staged);
+        Ok(())
     }
 }
 
@@ -285,15 +283,44 @@ impl Snapshot for HamletEngine {
 /// one live chain: appending a full record starts a new chain and may
 /// garbage-collect the old one (compaction).
 pub trait CheckpointStore: Send + Sync {
-    /// Appends one record, validating chain linkage: a delta must
-    /// extend the stored chain's tip (`parent()` == tip `seq()`); a
-    /// full record always starts a new chain.
+    /// Appends one record, validating chain order: its `seq()` must be
+    /// above the stored tip's (a stale record is
+    /// [`CheckpointError::Corrupt`]), and a delta must extend the tip
+    /// (`parent()` == tip `seq()`). A full record starts a new chain.
     fn append(&self, ck: &Checkpoint) -> Result<(), CheckpointError>;
 
     /// Loads the live chain in replay order — the most recent full
     /// record first, then its contiguous deltas. Empty if nothing was
     /// ever appended.
     fn load_chain(&self) -> Result<Vec<Checkpoint>, CheckpointError>;
+}
+
+/// The order check both stores apply on append, against the stored
+/// tip's seq: no delta without a base, no stale record, and a delta
+/// must extend the tip.
+fn check_append(ck: &Checkpoint, tip_seq: Option<u64>) -> Result<(), CheckpointError> {
+    let Some(tip_seq) = tip_seq else {
+        if ck.is_delta() {
+            return Err(CheckpointError::Corrupt(
+                "delta record appended to an empty store (no base to extend)".into(),
+            ));
+        }
+        return Ok(());
+    };
+    if ck.seq() <= tip_seq {
+        return Err(CheckpointError::Corrupt(format!(
+            "stale record: seq {} is not above the stored tip's seq {tip_seq}",
+            ck.seq()
+        )));
+    }
+    if ck.is_delta() && ck.parent() != Some(tip_seq) {
+        return Err(CheckpointError::Corrupt(format!(
+            "delta seq {} expects parent seq {:?} but the stored tip is seq {tip_seq}",
+            ck.seq(),
+            ck.parent(),
+        )));
+    }
+    Ok(())
 }
 
 /// An in-memory [`CheckpointStore`], for tests, benches, and processes
@@ -317,20 +344,10 @@ fn lock_err<T>(_: T) -> CheckpointError {
 impl CheckpointStore for MemStore {
     fn append(&self, ck: &Checkpoint) -> Result<(), CheckpointError> {
         let mut chain = self.chain.lock().map_err(lock_err)?;
-        if ck.is_delta() {
-            let Some(tip) = chain.last() else {
-                return Err(CheckpointError::Corrupt(
-                    "delta record appended to an empty store (no base to extend)".into(),
-                ));
-            };
-            if ck.parent() != Some(tip.seq()) {
-                return Err(CheckpointError::Corrupt(format!(
-                    "delta seq {} expects parent seq {:?} but the stored tip is seq {}",
-                    ck.seq(),
-                    ck.parent(),
-                    tip.seq()
-                )));
-            }
+        check_append(ck, chain.last().map(Checkpoint::seq))?;
+        // The tip is at hand here, so a cross-epoch delta is refused at
+        // append too (restore_chain refuses such a chain either way).
+        if let Some(tip) = chain.last().filter(|_| ck.is_delta()) {
             if ck.epoch() != tip.epoch() {
                 return Err(CheckpointError::WorkloadMismatch(format!(
                     "delta cut at workload epoch {} appended to a chain at epoch {}",
@@ -338,7 +355,8 @@ impl CheckpointStore for MemStore {
                     tip.epoch()
                 )));
             }
-        } else {
+        }
+        if !ck.is_delta() {
             // A full record starts a new chain; the old one is
             // compacted away.
             chain.clear();
@@ -421,21 +439,8 @@ impl DirStore {
 impl CheckpointStore for DirStore {
     fn append(&self, ck: &Checkpoint) -> Result<(), CheckpointError> {
         let listing = self.listing()?;
+        check_append(ck, listing.last().map(|&(seq, _)| seq))?;
         let base = !ck.is_delta();
-        if ck.is_delta() {
-            let Some(&(tip_seq, _)) = listing.last() else {
-                return Err(CheckpointError::Corrupt(
-                    "delta record appended to an empty store (no base to extend)".into(),
-                ));
-            };
-            if ck.parent() != Some(tip_seq) {
-                return Err(CheckpointError::Corrupt(format!(
-                    "delta seq {} expects parent seq {:?} but the stored tip is seq {tip_seq}",
-                    ck.seq(),
-                    ck.parent(),
-                )));
-            }
-        }
         let final_path = self.record_path(ck.seq(), base);
         let tmp_path = self.dir.join(format!(".tmp-ck-{:020}", ck.seq()));
         {
@@ -451,9 +456,7 @@ impl CheckpointStore for DirStore {
             // it. Best-effort — a leftover file is skipped by
             // load_chain's last-base rule anyway.
             for (seq, old_base) in listing {
-                if seq < ck.seq() {
-                    let _ = std::fs::remove_file(self.record_path(seq, old_base));
-                }
+                let _ = std::fs::remove_file(self.record_path(seq, old_base));
             }
         }
         Ok(())
@@ -568,12 +571,16 @@ mod tests {
             .restore_chain(&store.load_chain().expect("load"))
             .expect("restore");
         // Chain restore is byte-identical to the cutter at the cut:
-        // both describe the same state, so their full checkpoints agree.
-        assert_eq!(revived.checkpoint(), cutter.checkpoint());
-        // ...and to a plain full restore of that state.
+        // both describe the same state, so their next full cuts agree...
+        let at_cut = cutter.cut(CutKind::Full).expect("cut");
+        assert_eq!(revived.cut(CutKind::Full).expect("cut"), at_cut);
+        // ...and to a restore of that one full record.
         let mut full = engine(&reg, &qs);
-        full.restore(&cutter.checkpoint()).expect("full restore");
-        assert_eq!(full.checkpoint(), revived.checkpoint());
+        full.restore_chain(&[at_cut]).expect("full restore");
+        assert_eq!(
+            full.cut(CutKind::Full).expect("cut"),
+            revived.cut(CutKind::Full).expect("cut")
+        );
         // The uninterrupted engine and the cutter agree on all output.
         assert_eq!(oracle_out, cutter_out);
         assert_eq!(oracle.flush(), revived.flush());
@@ -616,8 +623,8 @@ mod tests {
         let delta = eng.cut(CutKind::Delta).expect("delta");
         assert!(delta.is_delta());
         // Hand-build a chain whose delta claims a different epoch.
-        let f = read_delta_frame(delta.as_bytes()).expect("frame");
-        let forged = crate::checkpoint::write_delta_frame(false, f.seq, f.parent, 7, &f.payload);
+        let f = Frame::decode(delta.as_bytes()).expect("frame");
+        let forged = Frame { epoch: 7, ..f }.encode();
         let forged = Checkpoint::from_bytes(forged).expect("peek");
         let mut fresh = engine(&reg, &qs);
         let err = fresh.restore_chain(&[base, forged]);
@@ -669,9 +676,14 @@ mod tests {
         ));
         store.append(&base).expect("append base");
         store.append(&delta).expect("append delta");
-        // Appending the same delta twice breaks linkage.
+        // Appending the same delta twice is a stale record.
         assert!(matches!(
             store.append(&delta),
+            Err(CheckpointError::Corrupt(_))
+        ));
+        // So is the older base: it would shadow the newer chain.
+        assert!(matches!(
+            store.append(&base),
             Err(CheckpointError::Corrupt(_))
         ));
         assert_eq!(store.load_chain().expect("load").len(), 2);
@@ -721,14 +733,25 @@ mod tests {
         assert!(chain[1..].iter().all(Checkpoint::is_delta));
         let mut revived = engine(&reg, &qs);
         revived.restore_chain(&chain).expect("restore");
-        assert_eq!(revived.checkpoint(), eng.checkpoint());
+        let full = eng.cut(CutKind::Full).expect("full");
+        assert_eq!(revived.cut(CutKind::Full).expect("full"), full);
         // A full cut compacts the directory down to one base file.
-        store2
-            .append(&eng.cut(CutKind::Full).expect("full"))
-            .expect("append");
+        store2.append(&full).expect("append");
         let chain = store2.load_chain().expect("load");
         assert_eq!(chain.len(), 1);
         assert_eq!(store2.listing().expect("listing").len(), 1);
+        // A stale record — an earlier cut, or another engine's first —
+        // is refused instead of shadowing the stored tip.
+        let mut other = engine(&reg, &qs);
+        for e in &evs {
+            other.process(e);
+        }
+        let first = other.cut(CutKind::Full).expect("cut");
+        assert!(matches!(
+            store2.append(&first),
+            Err(CheckpointError::Corrupt(m)) if m.contains("stale")
+        ));
+        assert_eq!(store2.load_chain().expect("load"), vec![full]);
         // A stray temp file (a crash mid-append) is invisible.
         std::fs::write(dir.join(".tmp-ck-garbage"), b"torn").expect("write");
         assert_eq!(store2.load_chain().expect("load").len(), 1);
@@ -742,17 +765,12 @@ mod tests {
         for e in events(&reg, 25) {
             eng.process(&e);
         }
-        // Legacy bare blob: full, seq 0, no parent.
-        let bare = Checkpoint::from_bytes(eng.checkpoint()).expect("peek");
-        assert_eq!(bare.kind(), CheckpointKind::Full);
-        assert_eq!(bare.seq(), 0);
-        assert_eq!(bare.parent(), None);
-        assert_eq!(bare.epoch(), 0);
-        assert_eq!(bare.version(), ENGINE_VERSION);
-        // Chain records carry seq/parent.
+        // Chain records carry seq/parent; the first cut is seq 1.
         let base = eng.cut(CutKind::Full).expect("base");
+        assert_eq!(base.kind(), CheckpointKind::Full);
         assert_eq!(base.seq(), 1);
         assert_eq!(base.parent(), None);
+        assert_eq!(base.epoch(), 0);
         for e in events(&reg, 5) {
             eng.process(&e);
         }
@@ -764,5 +782,31 @@ mod tests {
         // (At this toy scale every partition is dirty, so the delta is
         // not materially smaller; fig_checkpoint gates size at 10⁴ keys.)
         assert!(Checkpoint::from_bytes(b"nope".to_vec()).is_err());
+    }
+
+    #[test]
+    fn join_packs_lockstep_shards_and_refuses_others() {
+        let (reg, qs) = setup();
+        let mut a = engine(&reg, &qs);
+        let mut b = engine(&reg, &qs);
+        let (ca, cb) = (
+            a.cut(CutKind::Full).expect("a"),
+            b.cut(CutKind::Full).expect("b"),
+        );
+        let joined = Checkpoint::join(&[ca.clone(), cb.clone()], b"tail").expect("join");
+        let f = Frame::decode(joined.as_bytes()).expect("frame");
+        assert_eq!(f.shards.len(), 2);
+        assert_eq!(f.tail, b"tail");
+        assert_eq!((joined.seq(), joined.parent()), (1, None));
+        // Out of lockstep: b has moved on to seq 2.
+        let cb2 = b.cut(CutKind::Full).expect("b");
+        assert!(Checkpoint::join(&[ca, cb2], &[]).is_err());
+        assert!(Checkpoint::join(&[], &[]).is_err());
+        // An engine refuses a record with the wrong shard count.
+        let mut fresh = engine(&reg, &qs);
+        assert!(matches!(
+            fresh.restore_chain(&[joined]),
+            Err(CheckpointError::WorkloadMismatch(_))
+        ));
     }
 }

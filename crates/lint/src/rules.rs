@@ -211,15 +211,12 @@ fn sorted_nearby(toks: &[Token], idx: usize) -> bool {
 const PAIRS: &[(&str, &str)] = &[
     ("encode", "decode"),
     ("to_bytes", "from_bytes"),
-    ("checkpoint", "restore"),
-    ("container_header", "read_container"),
-    ("encode_delta", "decode_delta"),
-    ("write_delta_frame", "read_delta_frame"),
+    ("encode_state", "decode_state"),
 ];
 
 /// Positional class of one codec call. `Len` unifies `usize`/`seq_len`,
 /// `Raw` unifies `raw`/`magic`, `Nested` unifies sub-struct
-/// `encode`/`decode` calls (and the container header helpers).
+/// `encode`/`decode` calls.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Slot {
     Fixed(&'static str),
@@ -320,8 +317,8 @@ fn codec_calls(cx: &FileCx, f: &FnSpan, decode_side: bool) -> Vec<(Slot, usize)>
             }
         }
     }
-    // Receivers from locals: `let [mut] x = [..]Enc::new(..)` or
-    // `let [mut] x = container_header(..)`.
+    // Receivers from locals: `let [mut] x = [..]Enc::new(..)` (or
+    // `::with_capacity(..)`).
     let (bs, be) = f.body;
     for i in bs..be {
         if !toks[i].is_word("let") {
@@ -341,9 +338,10 @@ fn codec_calls(cx: &FileCx, f: &FnSpan, decode_side: bool) -> Vec<(Slot, usize)>
             }
             let hit = toks[k].is_word(want)
                 && toks.get(k + 1).is_some_and(|t| t.is_p(':'))
-                && toks.get(k + 3).is_some_and(|t| t.is_word("new"));
-            let header = !decode_side && toks[k].is_word("container_header");
-            if hit || header {
+                && toks
+                    .get(k + 3)
+                    .is_some_and(|t| t.is_word("new") || t.is_word("with_capacity"));
+            if hit {
                 recvs.insert(name.clone());
                 break;
             }
@@ -365,16 +363,17 @@ fn codec_calls(cx: &FileCx, f: &FnSpan, decode_side: bool) -> Vec<(Slot, usize)>
                 }
             }
         }
-        // Nested sub-struct calls: `x.encode(&mut e)` / `T::decode(&mut d, ..)`,
-        // plus the shared container helpers.
+        // Nested sub-struct calls: `x.encode(&mut e)` / `T::decode(&mut d, ..)`.
         let nested = if decode_side {
-            (w == "decode" || w == "read_container" || w == "read_container_any")
+            w == "decode"
                 && toks.get(i + 1).is_some_and(|t| t.is_p('('))
                 && args_mention(toks, i + 1, &recvs)
         } else {
-            (w == "encode" && i >= 1 && toks[i - 1].is_p('.') || w == "container_header")
+            w == "encode"
+                && i >= 1
+                && toks[i - 1].is_p('.')
                 && toks.get(i + 1).is_some_and(|t| t.is_p('('))
-                && (w == "container_header" || args_mention(toks, i + 1, &recvs))
+                && args_mention(toks, i + 1, &recvs)
         };
         if nested {
             seq.push((Slot::Nested, line));

@@ -74,16 +74,16 @@ mod source;
 mod stats;
 mod watermark;
 
-pub use checkpoint::{PipelineCheckpoint, PIPELINE_MAGIC, PIPELINE_VERSION};
+pub use checkpoint::PipelineCheckpoint;
 pub use sink::{CountingSink, NullSink, Sink, VecSink};
 pub use source::{RateLimitedSource, ReplaySource, Source};
 pub use stats::{LatencySummary, MetricsSnapshot};
 pub use watermark::{BoundedLateness, ReorderBuffer, WatermarkPolicy};
 
+use checkpoint::PipelineTail;
 use hamlet_core::checkpoint::CheckpointError;
 use hamlet_core::executor::{
-    checkpoint_epoch, ChurnError, ChurnOp, EngineConfig, EngineError, EngineStats, HamletEngine,
-    WindowResult,
+    ChurnError, ChurnOp, EngineConfig, EngineError, EngineStats, HamletEngine, WindowResult,
 };
 use hamlet_core::{
     Checkpoint, CheckpointStore, CutKind, GroupMetrics, LatencyHistogram, LatencyRecorder,
@@ -137,14 +137,14 @@ struct CutRequest {
     ack: mpsc::Sender<Result<Checkpoint, CheckpointError>>,
 }
 /// What one worker thread returns at shutdown; the final slot carries
-/// the shard's serialized engine state when the run ended at a
-/// checkpoint barrier instead of a flush.
+/// the shard's full cut when the run ended at a checkpoint barrier
+/// instead of a flush.
 type WorkerOutput = (
     EngineStats,
     LatencyRecorder,
     usize,
     Vec<GroupMetrics>,
-    Option<Vec<u8>>,
+    Option<Result<Checkpoint, CheckpointError>>,
 );
 
 /// How a worker ends once its event channel closes: drain every open
@@ -166,7 +166,7 @@ struct IngestExit {
     max_seen: Option<Ts>,
 }
 
-/// Why a [`PipelineBuilder::resume`] failed.
+/// Why a [`PipelineBuilder::resume_from`] failed.
 #[derive(Debug)]
 pub enum ResumeError {
     /// The workload failed to compile (same errors as a fresh spawn).
@@ -339,7 +339,7 @@ impl PipelineBuilder {
     /// worker FIFOs, each shard engine serializes the state that changed
     /// since the previous cut (a delta frame; periodically a full base,
     /// see [`compact_every`](Self::compact_every)), and the assembled
-    /// container is appended to the configured
+    /// record is appended to the configured
     /// [`checkpoint_store`](Self::checkpoint_store). The pipeline keeps
     /// running; the pause is the flush + serialize time, visible as
     /// `checkpoint_pause` spans and the
@@ -418,54 +418,10 @@ impl PipelineBuilder {
         Src: Source + 'static,
         S: Sink + 'static,
     {
-        self.spawn_inner(source, sink, RestorePlan::Fresh)
-            .map_err(|e| match e {
-                ResumeError::Engine(err) => err,
-                ResumeError::Checkpoint(_) => unreachable!("no checkpoint on a fresh spawn"),
-            })
-    }
-
-    /// Restores a pipeline from a [`PipelineCheckpoint`] and continues
-    /// it: every shard engine is rebuilt and restored, the frozen
-    /// reorder-buffer events are re-injected ahead of the source, the
-    /// watermark policy is re-seeded with the checkpointed stream
-    /// maximum, and the metrics counters continue from where they
-    /// stopped.
-    ///
-    /// The builder must be configured like the original pipeline (same
-    /// workload, worker count, watermark slack); `source` must be
-    /// positioned *after* the first
-    /// [`events_pulled`](PipelineCheckpoint::events_pulled) events of
-    /// the original stream. Continuing to the end of the stream and
-    /// draining yields byte-identical output to a run that never
-    /// stopped (`tests/checkpoint_equivalence.rs`).
-    ///
-    /// Deprecated: this is the raw single-blob path kept for existing
-    /// callers. New code should persist cuts through a
-    /// [`CheckpointStore`] ([`checkpoint_store`](Self::checkpoint_store)
-    /// \+ [`checkpoint_every`](Self::checkpoint_every) or
-    /// [`Snapshot::cut`] on the handle) and recover with
-    /// [`resume_from`](Self::resume_from), which also replays
-    /// incremental delta chains.
-    pub fn resume<Src, S>(
-        self,
-        checkpoint: &PipelineCheckpoint,
-        source: Src,
-        sink: S,
-    ) -> Result<PipelineHandle<S>, ResumeError>
-    where
-        Src: Source + 'static,
-        S: Sink + 'static,
-    {
-        if checkpoint.workers != self.workers {
-            return Err(ResumeError::Checkpoint(CheckpointError::WorkloadMismatch(
-                format!(
-                    "checkpoint taken under {} workers, resuming under {}",
-                    checkpoint.workers, self.workers
-                ),
-            )));
-        }
-        self.spawn_inner(source, sink, RestorePlan::Whole(checkpoint))
+        self.spawn_inner(source, sink, None).map_err(|e| match e {
+            ResumeError::Engine(err) => err,
+            ResumeError::Checkpoint(_) => unreachable!("no checkpoint on a fresh spawn"),
+        })
     }
 
     /// Restores a pipeline from the base + delta chain held in a
@@ -483,6 +439,9 @@ impl PipelineBuilder {
     /// chain's newest record (decode it with
     /// [`PipelineCheckpoint::from_bytes`] over
     /// [`Checkpoint::as_bytes`], or track the cursor out of band).
+    /// Every record a pipeline cuts — cadence cuts, on-demand
+    /// [`Snapshot::cut`]s, and the final
+    /// [`PipelineHandle::checkpoint`] freeze — extends the same chain.
     /// Replaying the remainder of the stream and draining emits exactly
     /// the results the original run had not yet emitted at the cut —
     /// byte-identical to the uninterrupted run's suffix
@@ -502,40 +461,31 @@ impl PipelineBuilder {
         S: Sink + 'static,
     {
         let chain = store.load_chain().map_err(ResumeError::Checkpoint)?;
-        if chain.is_empty() {
+        let Some(tip) = chain.last() else {
             return Err(ResumeError::Checkpoint(CheckpointError::Corrupt(
                 "the checkpoint store holds no records".into(),
             )));
+        };
+        // The newest record carries the pipeline-level state (reorder
+        // buffer, source cursor, counters, elapsed); every earlier
+        // record's is superseded.
+        let (workers, tail) = PipelineCheckpoint::peek(tip).map_err(ResumeError::Checkpoint)?;
+        if workers != self.workers {
+            return Err(ResumeError::Checkpoint(CheckpointError::WorkloadMismatch(
+                format!(
+                    "checkpoint taken under {workers} workers, resuming under {}",
+                    self.workers
+                ),
+            )));
         }
-        let mut records = Vec::with_capacity(chain.len());
-        for ck in &chain {
-            let pc =
-                PipelineCheckpoint::from_bytes(ck.as_bytes()).map_err(ResumeError::Checkpoint)?;
-            if pc.workers != self.workers {
-                return Err(ResumeError::Checkpoint(CheckpointError::WorkloadMismatch(
-                    format!(
-                        "checkpoint taken under {} workers, resuming under {}",
-                        pc.workers, self.workers
-                    ),
-                )));
-            }
-            if pc.engines.len() != pc.workers as usize {
-                return Err(ResumeError::Checkpoint(CheckpointError::Corrupt(format!(
-                    "pipeline record carries {} shard frames for {} workers",
-                    pc.engines.len(),
-                    pc.workers
-                ))));
-            }
-            records.push(pc);
-        }
-        self.spawn_inner(source, sink, RestorePlan::Chain(records))
+        self.spawn_inner(source, sink, Some((&chain, tail)))
     }
 
     fn spawn_inner<Src, S>(
         mut self,
         source: Src,
         sink: S,
-        restore: RestorePlan<'_>,
+        restore: Option<(&[Checkpoint], PipelineTail)>,
     ) -> Result<PipelineHandle<S>, ResumeError>
     where
         Src: Source + 'static,
@@ -548,10 +498,8 @@ impl PipelineBuilder {
         // Re-seed the watermark policy before destructuring: the resumed
         // policy must never emit a watermark behind the one the
         // checkpointed pipeline already released events under.
-        if let Some(ck) = restore.tail() {
-            if let Some(max_seen) = ck.max_seen {
-                let _ = self.policy.observe(max_seen);
-            }
+        if let Some(max_seen) = restore.as_ref().and_then(|(_, tail)| tail.max_seen) {
+            let _ = self.policy.observe(max_seen);
         }
         let PipelineBuilder {
             reg,
@@ -606,72 +554,22 @@ impl PipelineBuilder {
             }
         }
 
-        // A checkpoint taken after churn carries the workload epoch in
-        // every shard blob: all shards must agree (they churn at the same
-        // barrier), and the resumed engines adopt it before restoring.
-        let mut start_epoch = 0u64;
-        if let RestorePlan::Whole(ck) = &restore {
-            let mut agreed = None;
-            for blob in &ck.engines {
-                let e = checkpoint_epoch(blob).map_err(ResumeError::Checkpoint)?;
-                match agreed {
-                    None => agreed = Some(e),
-                    Some(e0) if e0 != e => {
-                        return Err(ResumeError::Checkpoint(CheckpointError::WorkloadMismatch(
-                            format!("mixed workload epochs in pipeline checkpoint ({e0} vs {e})"),
-                        )))
-                    }
-                    Some(_) => {}
-                }
-            }
-            start_epoch = agreed.unwrap_or(0);
-        }
-
         // Build (and restore) every engine up front so errors are
-        // synchronous.
+        // synchronous. Each shard engine restores its own payload from
+        // the chain's shard-set records and adopts the chain's workload
+        // epoch (a chain taken after churn carries it).
         let mut engines = Vec::with_capacity(n);
         for idx in 0..n {
             let mut cfg = engine_cfg.clone();
             cfg.shard = (workers > 1).then_some((idx as u32, workers));
             let mut eng = HamletEngine::new(reg.clone(), queries.clone(), cfg)
                 .map_err(ResumeError::Engine)?;
-            match &restore {
-                RestorePlan::Fresh => {}
-                RestorePlan::Whole(ck) => {
-                    eng.set_epoch(start_epoch);
-                    eng.restore(&ck.engines[idx])
-                        .map_err(ResumeError::Checkpoint)?;
-                }
-                RestorePlan::Chain(records) => {
-                    // This shard's frame from every record in the chain;
-                    // the engine replays base + deltas (and adopts the
-                    // chain's workload epoch) itself.
-                    let mut shard_chain = Vec::with_capacity(records.len());
-                    for pc in records {
-                        shard_chain.push(
-                            Checkpoint::from_bytes(pc.engines[idx].clone())
-                                .map_err(ResumeError::Checkpoint)?,
-                        );
-                    }
-                    eng.restore_chain(&shard_chain)
-                        .map_err(ResumeError::Checkpoint)?;
-                }
+            if let Some((chain, _)) = &restore {
+                eng.restore_chain(chain).map_err(ResumeError::Checkpoint)?;
             }
             engines.push(eng);
         }
-        if let RestorePlan::Chain(_) = &restore {
-            // Chain restore derives each shard's epoch from its frames;
-            // cross-shard agreement is validated after the fact.
-            start_epoch = engines.first().map(HamletEngine::epoch).unwrap_or(0);
-            if let Some(off) = engines.iter().find(|e| e.epoch() != start_epoch) {
-                return Err(ResumeError::Checkpoint(CheckpointError::WorkloadMismatch(
-                    format!(
-                        "mixed workload epochs across restored shards ({start_epoch} vs {})",
-                        off.epoch()
-                    ),
-                )));
-            }
-        }
+        let start_epoch = engines.first().map_or(0, HamletEngine::epoch);
         // The router only maps events to shards; it never processes.
         let router = if workers > 1 {
             Some(
@@ -688,10 +586,8 @@ impl PipelineBuilder {
         } else {
             SpanRecorder::disabled()
         });
-        let accum = restore
-            .tail()
-            .map(|ck| ck.elapsed)
-            .unwrap_or(Duration::ZERO);
+        let tail = restore.map(|(_, tail)| tail);
+        let accum = tail.as_ref().map_or(Duration::ZERO, |t| t.elapsed);
         let shared = Arc::new(SharedStats::new(n, accum, spans.clone()));
         shared.epoch.store(start_epoch, Ordering::Relaxed);
         let stop = Arc::new(AtomicBool::new(false));
@@ -700,7 +596,7 @@ impl PipelineBuilder {
         // the checkpointed pipeline stopped.
         let mut buffer = ReorderBuffer::new();
         let mut max_seen = None;
-        if let Some(ck) = restore.tail() {
+        if let Some(ck) = tail {
             let [ingested, late, released, results] = ck.counters;
             shared.ingested.store(ingested, Ordering::Relaxed);
             shared.late.store(late, Ordering::Relaxed);
@@ -718,8 +614,8 @@ impl PipelineBuilder {
             // latency metrics).
             // hamlet-lint: allow(wallclock) -- restored arrival stamps only feed latency metrics
             let now = Instant::now();
-            for ev in &ck.buffered {
-                buffer.push(ev.clone(), now);
+            for ev in ck.buffered {
+                buffer.push(ev, now);
             }
             shared.reorder_depth.store(buffer.len(), Ordering::Relaxed);
         }
@@ -802,30 +698,7 @@ impl PipelineBuilder {
             churn: churn_tx,
             cut: cut_tx,
             sink: sink_handle,
-            n_workers: workers,
         })
-    }
-}
-
-/// How [`PipelineBuilder::spawn_inner`] seeds engine state: fresh, from
-/// one whole legacy [`PipelineCheckpoint`], or by replaying a base +
-/// delta chain loaded from a [`CheckpointStore`].
-enum RestorePlan<'a> {
-    Fresh,
-    Whole(&'a PipelineCheckpoint),
-    Chain(Vec<PipelineCheckpoint>),
-}
-
-impl RestorePlan<'_> {
-    /// The record carrying the pipeline-level tail state (reorder
-    /// buffer, source cursor, counters, elapsed): the chain's newest
-    /// record — every earlier record's tail is superseded.
-    fn tail(&self) -> Option<&PipelineCheckpoint> {
-        match self {
-            RestorePlan::Fresh => None,
-            RestorePlan::Whole(ck) => Some(ck),
-            RestorePlan::Chain(records) => records.last(),
-        }
     }
 }
 
@@ -1137,8 +1010,8 @@ impl<Src: Source> Ingest<Src> {
     /// A coordinated checkpoint cut at the current barrier: flushes
     /// every partial batch down the worker FIFOs (so every shard
     /// serializes at exactly the same stream position), collects one
-    /// frame per shard, assembles the pipeline container, and appends it
-    /// to the configured store.
+    /// record per shard, packs them with the pipeline tail into one
+    /// shard-set record, and appends it to the configured store.
     fn coordinated_cut(&mut self, kind: CutKind) -> Result<Checkpoint, CheckpointError> {
         let span = self.shared.spans.start();
         let result = self.coordinated_cut_inner(kind);
@@ -1184,10 +1057,10 @@ impl<Src: Source> Ingest<Src> {
         }
         drop(reply_tx);
         let n = self.txs.len();
-        let mut frames: Vec<Option<Vec<u8>>> = vec![None; n];
+        let mut parts: Vec<Option<Checkpoint>> = vec![None; n];
         for _ in 0..n {
             match reply_rx.recv() {
-                Ok((idx, Ok(ck))) => frames[idx] = Some(ck.into_bytes()),
+                Ok((idx, Ok(ck))) => parts[idx] = Some(ck),
                 Ok((_, Err(e))) => return Err(e),
                 Err(_) => {
                     self.stop.store(true, Ordering::Relaxed);
@@ -1195,17 +1068,11 @@ impl<Src: Source> Ingest<Src> {
                 }
             }
         }
-        let mut engines = Vec::with_capacity(n);
-        for f in frames {
-            match f {
-                Some(bytes) => engines.push(bytes),
-                None => {
-                    return Err(CheckpointError::Io(
-                        "a shard replied twice during the cut".into(),
-                    ))
-                }
-            }
-        }
+        let Some(parts) = parts.into_iter().collect::<Option<Vec<_>>>() else {
+            return Err(CheckpointError::Io(
+                "a shard replied twice during the cut".into(),
+            ));
+        };
         // Every pre-cut result is now enqueued to the sink (each worker
         // sent its results before replying with its frame); wait for the
         // sink thread to land them so the frozen counters are exact.
@@ -1222,16 +1089,14 @@ impl<Src: Source> Ingest<Src> {
             self.shared.released.load(Ordering::Relaxed),
             self.shared.results.load(Ordering::Relaxed),
         ];
-        let pc = PipelineCheckpoint {
-            workers: self.workers,
-            engines,
+        let tail = PipelineTail {
             buffered: self.buffer.contents(),
             events_pulled: counters[0],
             max_seen: self.max_seen,
             counters,
             elapsed: self.shared.elapsed(),
         };
-        let ck = Checkpoint::from_bytes(pc.to_bytes())?;
+        let ck = Checkpoint::join(&parts, &tail.encode())?;
         if let Some(store) = &self.store {
             store.append(&ck)?;
         }
@@ -1359,7 +1224,7 @@ fn worker_loop(
     // emit after a resume. A disconnected control channel means the
     // handle was abandoned: flush, preserving drain semantics.
     let checkpoint = match ctrl_rx.recv() {
-        Ok(WorkerEnd::Checkpoint) => Some(engine.checkpoint()),
+        Ok(WorkerEnd::Checkpoint) => Some(engine.cut(CutKind::Full)),
         Ok(WorkerEnd::Flush) | Err(_) => {
             let finale = engine.flush();
             if !finale.is_empty() {
@@ -1413,14 +1278,13 @@ pub struct PipelineHandle<S> {
     /// On-demand checkpoint cuts to the ingest stage.
     cut: mpsc::Sender<CutRequest>,
     sink: JoinHandle<S>,
-    n_workers: u32,
 }
 
 impl<S: Sink> Snapshot for PipelineHandle<S> {
     /// Cuts a checkpoint of the **running** pipeline at the next
     /// barrier between source events (same barrier semantics as
     /// [`add_query`](PipelineHandle::add_query)) and blocks until the
-    /// assembled container is back — appended to the configured
+    /// assembled record is back — appended to the configured
     /// [`CheckpointStore`] first, if one was set at build time. The
     /// pipeline keeps running afterwards; the frame chains onto any
     /// cadence cuts taken so far. A source blocked inside `next_event`,
@@ -1575,21 +1439,18 @@ impl<S: Sink> PipelineHandle<S> {
     /// [`to_bytes`](PipelineCheckpoint::to_bytes)), the sink with every
     /// result emitted *before* the barrier, and the barrier pause time.
     /// Windows still open at the barrier emit after
-    /// [`PipelineBuilder::resume`] — exactly once, never twice:
+    /// [`PipelineBuilder::resume_from`] — exactly once, never twice:
     /// resuming and draining is byte-identical to a run that never
     /// stopped.
+    ///
+    /// The freeze is a full cut through each engine's chain counter, so
+    /// it extends the chain of any cadence or on-demand cuts taken
+    /// before it (seq = tip + 1). Appended to the same store it
+    /// becomes the newest base — the record `resume_from` restores.
     ///
     /// An unbounded source is cut mid-stream (like
     /// [`stop`](Self::stop)); a finite source that already ended simply
     /// yields a checkpoint whose reorder buffer is empty.
-    ///
-    /// Deprecated: this consuming freeze is kept for existing callers
-    /// and for the final cut of a planned shutdown. A pipeline built
-    /// with [`PipelineBuilder::checkpoint_store`] keeps itself durable
-    /// while running (cadence cuts via
-    /// [`PipelineBuilder::checkpoint_every`], on-demand via
-    /// [`Snapshot::cut`]) and recovers with
-    /// [`PipelineBuilder::resume_from`].
     pub fn checkpoint(self) -> PipelineCheckpointReport<S> {
         // Order matters: the mode flag must be visible to the ingest
         // stage whenever the stop flag is — otherwise ingest could stop
@@ -1608,13 +1469,15 @@ impl<S: Sink> PipelineHandle<S> {
             let _ = tx.send(WorkerEnd::Checkpoint);
         }
         let mut stats = Vec::with_capacity(self.workers.len());
-        let mut engines = Vec::with_capacity(self.workers.len());
+        let mut shards = Vec::with_capacity(self.workers.len());
         for handle in self.workers {
             // hamlet-lint: allow(panic-hygiene) -- join propagates the thread's panic; swallowing it would fake a clean drain
-            let (s, _, _, _, blob) = handle.join().expect("worker thread panicked");
+            let (s, _, _, _, cut) = handle.join().expect("worker thread panicked");
             stats.push(s);
             // hamlet-lint: allow(panic-hygiene) -- every worker was sent WorkerEnd::Checkpoint before this join
-            engines.push(blob.expect("worker was told to checkpoint"));
+            let cut = cut.expect("worker was told to checkpoint");
+            // hamlet-lint: allow(panic-hygiene) -- an engine's own cut always parses as a record
+            shards.push(cut.expect("own cut frames"));
         }
         // hamlet-lint: allow(panic-hygiene) -- join propagates the thread's panic; swallowing it would fake a clean drain
         let sink = self.sink.join().expect("sink thread panicked");
@@ -1629,16 +1492,16 @@ impl<S: Sink> PipelineHandle<S> {
             self.shared.results.load(Ordering::Relaxed),
         ];
         let wall = self.shared.elapsed();
+        let tail = PipelineTail {
+            buffered: exit.buffered,
+            events_pulled: counters[0],
+            max_seen: exit.max_seen,
+            counters,
+            elapsed: wall,
+        };
         PipelineCheckpointReport {
-            checkpoint: PipelineCheckpoint {
-                workers: self.n_workers,
-                engines,
-                buffered: exit.buffered,
-                events_pulled: counters[0],
-                max_seen: exit.max_seen,
-                counters,
-                elapsed: wall,
-            },
+            // hamlet-lint: allow(panic-hygiene) -- every shard cut Full at the same barrier and chain counter, so the parts always join
+            checkpoint: PipelineCheckpoint::assemble(shards, tail).expect("lockstep shard cuts"),
             sink,
             pause,
             wall,
@@ -1653,8 +1516,9 @@ impl<S: Sink> PipelineHandle<S> {
 /// the sink with every pre-barrier result, and the barrier timing.
 pub struct PipelineCheckpointReport<S> {
     /// The durable pipeline state — persist with
-    /// [`PipelineCheckpoint::to_bytes`], resume with
-    /// [`PipelineBuilder::resume`].
+    /// [`PipelineCheckpoint::to_bytes`] (or append it to a
+    /// [`CheckpointStore`]), resume with
+    /// [`PipelineBuilder::resume_from`].
     pub checkpoint: PipelineCheckpoint,
     /// The sink, holding every result emitted before the barrier.
     pub sink: S,
@@ -1741,6 +1605,7 @@ impl<S> PipelineReport<S> {
 mod tests {
     use super::*;
     use hamlet_core::executor::sort_results;
+    use hamlet_core::MemStore;
     use hamlet_query::parse_query;
     use hamlet_types::{AttrValue, EventTypeId, Ts};
 
@@ -1992,8 +1857,8 @@ mod tests {
         let restored = PipelineCheckpoint::from_bytes(&blob).unwrap();
         let cursor = restored.events_pulled() as usize;
         let resumed = Pipeline::builder(reg, queries)
-            .resume(
-                &restored,
+            .resume_from(
+                &store_of(&restored),
                 ReplaySource::new(events[cursor..].to_vec()),
                 frozen.sink,
             )
@@ -2007,6 +1872,15 @@ mod tests {
         assert_eq!(report.released, events.len() as u64);
     }
 
+    /// A store holding exactly one pipeline record.
+    fn store_of(ck: &PipelineCheckpoint) -> MemStore {
+        let store = MemStore::new();
+        store
+            .append(&Checkpoint::from_bytes(ck.to_bytes()).unwrap())
+            .unwrap();
+        store
+    }
+
     /// Resume validates the worker count before touching any state.
     #[test]
     fn resume_rejects_wrong_worker_count() {
@@ -2018,7 +1892,11 @@ mod tests {
         let frozen = handle.checkpoint();
         let err = Pipeline::builder(reg, queries)
             .workers(4)
-            .resume(&frozen.checkpoint, ReplaySource::new(vec![]), NullSink)
+            .resume_from(
+                &store_of(&frozen.checkpoint),
+                ReplaySource::new(vec![]),
+                NullSink,
+            )
             .err();
         assert!(
             matches!(err, Some(ResumeError::Checkpoint(_))),
@@ -2478,8 +2356,8 @@ mod tests {
         let restored = PipelineCheckpoint::from_bytes(&blob).unwrap();
         assert_eq!(restored.elapsed(), banked, "elapsed survives the codec");
         let resumed = Pipeline::builder(reg, queries)
-            .resume(
-                &restored,
+            .resume_from(
+                &store_of(&restored),
                 ReplaySource::new(events[cut..].to_vec()),
                 frozen.sink,
             )
@@ -2604,8 +2482,8 @@ mod tests {
         }
     }
 
-    /// Churn bumps the workload epoch inside every shard's checkpoint
-    /// blob; resuming adopts it, and resuming under the pre-churn
+    /// Churn bumps the workload epoch stamped into the pipeline's
+    /// records; resuming adopts it, and resuming under the pre-churn
     /// workload is rejected.
     #[test]
     fn checkpoint_after_churn_resumes_with_epoch() {
@@ -2624,19 +2502,14 @@ mod tests {
         }
         assert_eq!(handle.metrics().epoch, 1);
         let frozen = handle.checkpoint();
-        for blob in &frozen.checkpoint.engines {
-            assert_eq!(
-                checkpoint_epoch(blob).unwrap(),
-                1,
-                "epoch stamped per shard"
-            );
-        }
+        let store = store_of(&frozen.checkpoint);
+        assert_eq!(store.load_chain().unwrap()[0].epoch(), 1, "epoch stamped");
 
         let mut final_queries = queries.clone();
         final_queries.push(third_query(&reg));
         let resumed = Pipeline::builder(reg.clone(), final_queries)
-            .resume(
-                &frozen.checkpoint,
+            .resume_from(
+                &store,
                 ReplaySource::new(events[cut..].to_vec()),
                 frozen.sink,
             )
@@ -2647,7 +2520,7 @@ mod tests {
 
         // The pre-churn workload no longer matches the checkpoint.
         let err = Pipeline::builder(reg, queries)
-            .resume(&frozen.checkpoint, ReplaySource::new(vec![]), NullSink)
+            .resume_from(&store, ReplaySource::new(vec![]), NullSink)
             .err();
         assert!(
             matches!(

@@ -42,7 +42,9 @@
 //! FILE` (record stage spans and write a Chrome `trace_event` JSON file
 //! — open in `chrome://tracing` or Perfetto), `--state DIR` (a
 //! [`DirStore`] checkpoint directory holding one base + delta chain;
-//! required by every checkpoint flag), `--checkpoint-every N` (while
+//! required by every checkpoint flag, and empty unless `--resume` is
+//! given — the store refuses records that do not extend its chain),
+//! `--checkpoint-every N` (while
 //! the pipeline runs, cut an incremental **delta** checkpoint into the
 //! store every N released events; every `--compact-every`th cut is
 //! promoted to a full base, compacting the chain), `--checkpoint-after
@@ -495,6 +497,18 @@ fn run_pipeline(
         );
         tip_ck.events_pulled() as usize
     } else {
+        // A fresh run numbers its cuts from 1, and the store refuses a
+        // record that is not above its tip: say so before running.
+        if let Some(st) = &store {
+            if !st.load_chain().is_ok_and(|c| c.is_empty()) {
+                eprintln!(
+                    "error: {} already holds a checkpoint chain — pass --resume to continue \
+                     it, or point --state at an empty directory",
+                    st.path().display()
+                );
+                std::process::exit(2);
+            }
+        }
         0
     };
     if cursor > events.len() {
@@ -672,8 +686,9 @@ fn run_pipeline(
                 }
                 Err(_) => {
                     // The source already ended — no barrier left to cut
-                    // at. Freeze the quiesced pipeline the legacy way
-                    // and append the container to the store as a base.
+                    // at. Freeze the quiesced pipeline instead: a full
+                    // cut that extends the same chain (seq = tip + 1),
+                    // appended to the store as its newest base.
                     // Exporters snapshot first: `checkpoint` consumes
                     // the handle.
                     if let Some(p) = &args.prom_out {

@@ -1,16 +1,16 @@
 //! Recovery equivalence: kill a run at an arbitrary point, restore from
 //! its checkpoint, continue — the output must be **byte-identical** to a
-//! run that never stopped. Proven at every layer of the stack:
+//! run that never stopped. Proven at every layer of the stack, each
+//! through the one [`Snapshot`] API:
 //!
-//! * the single engine (`HamletEngine::checkpoint`/`restore`), in raw
-//!   emission order, including the round-trip identity
-//!   `checkpoint(restore(blob)) == blob`;
-//! * the offline parallel path (`ParallelEngine::run_to_checkpoint` /
-//!   `resume`) at 1 and 4 workers, in canonical order;
-//! * the online pipeline (`PipelineHandle::checkpoint` /
-//!   `PipelineBuilder::resume`) at 1 and 4 workers, for in-order *and*
-//!   bounded-late delivery — the reorder buffer and source cursor travel
-//!   inside the checkpoint;
+//! * the single engine (`cut(Full)` / `restore_chain`), in raw emission
+//!   order, including the round-trip identity: the restored engine's
+//!   next full cut equals the original's;
+//! * the parallel session at 1 and 4 workers, in canonical order;
+//! * the online pipeline (`PipelineHandle::checkpoint` appended to a
+//!   store / `PipelineBuilder::resume_from`) at 1 and 4 workers, for
+//!   in-order *and* bounded-late delivery — the reorder buffer and
+//!   source cursor travel inside the checkpoint;
 //! * a proptest over stream shapes and checkpoint positions.
 //!
 //! This is the acceptance property of the checkpoint subsystem: recovery
@@ -56,11 +56,11 @@ fn offline(reg: &Arc<TypeRegistry>, queries: &[Query], events: &[Event]) -> Vec<
     out
 }
 
-/// Single engine: process a prefix, checkpoint, **drop the engine**
-/// (the crash), restore into a fresh one, continue — per-event output
-/// and the final flush are byte-identical to the uninterrupted run, in
-/// raw emission order; and the restored engine's own checkpoint equals
-/// the original blob.
+/// Single engine: process a prefix, cut a full record, **drop the
+/// engine** (the crash), restore into a fresh one, continue — per-event
+/// output and the final flush are byte-identical to the uninterrupted
+/// run, in raw emission order; and the restored engine's next full cut
+/// equals the one the original would have cut.
 #[test]
 fn engine_kill_restore_continue_is_byte_identical() {
     let (reg, queries) = workload();
@@ -83,14 +83,15 @@ fn engine_kill_restore_continue_is_byte_identical() {
         for e in &events[..cut] {
             let _ = victim.process(e);
         }
-        let blob = victim.checkpoint();
+        let blob = victim.cut(CutKind::Full).unwrap();
+        let next = victim.cut(CutKind::Full).unwrap();
         drop(victim); // the crash
 
         let mut survivor = mk();
-        survivor.restore(&blob).unwrap();
+        survivor.restore_chain(&[blob]).unwrap();
         assert_eq!(
-            survivor.checkpoint(),
-            blob,
+            survivor.cut(CutKind::Full).unwrap(),
+            next,
             "cut {cut}: checkpoint/restore round trip is not the identity"
         );
         for (i, e) in events[cut..].iter().enumerate() {
@@ -105,10 +106,11 @@ fn engine_kill_restore_continue_is_byte_identical() {
     }
 }
 
-/// Offline parallel path at 1 and 4 workers: a coordinated per-shard
-/// checkpoint at an arbitrary barrier, resumed (through the serialized
-/// container, as a crash-recovery path would), equals one uninterrupted
-/// run in canonical order — zero rows included.
+/// Parallel session at 1 and 4 workers: a coordinated full cut at an
+/// arbitrary barrier, restored into a fresh session (through the
+/// serialized record, as a crash-recovery path would) that finishes the
+/// stream, equals one uninterrupted offline run in canonical order —
+/// zero rows included.
 #[test]
 fn parallel_checkpoint_resume_is_identical_at_1_and_4_workers() {
     let (reg, queries) = workload();
@@ -124,12 +126,15 @@ fn parallel_checkpoint_resume_is_identical_at_1_and_4_workers() {
         let gold = eng.run(&events);
         assert!(!gold.results.is_empty());
         for cut in [0, events.len() / 2, events.len()] {
-            let pre = eng.run_to_checkpoint(&events[..cut]);
-            let container = pre.checkpoint.to_bytes();
-            let restored = ParallelCheckpoint::from_bytes(&container).unwrap();
-            let post = eng.resume(&restored, &events[cut..]).unwrap();
-            let mut all = pre.report.results.clone();
-            all.extend(post.results);
+            let mut pre = eng.session();
+            let mut all = pre.process(&events[..cut]);
+            let record = pre.cut(CutKind::Full).unwrap().into_bytes();
+            drop(pre); // the crash
+            let restored = Checkpoint::from_bytes(record).unwrap();
+            let mut post = eng.session();
+            post.restore_chain(&[restored]).unwrap();
+            all.extend(post.process(&events[cut..]));
+            all.extend(post.flush());
             sort_results(&mut all);
             assert_eq!(
                 all, gold.results,
@@ -173,13 +178,17 @@ fn pipeline_checkpoint_resume_in_order_1_and_4_workers() {
         assert!(frozen.checkpoint.engine_bytes() > 0);
 
         // Persist, reload, resume in a "new process".
-        let container = frozen.checkpoint.to_bytes();
-        let restored = PipelineCheckpoint::from_bytes(&container).unwrap();
+        let store = MemStore::new();
+        store
+            .append(&Checkpoint::from_bytes(frozen.checkpoint.to_bytes()).unwrap())
+            .unwrap();
+        let tip = store.load_chain().unwrap().pop().unwrap();
+        let restored = PipelineCheckpoint::from_bytes(tip.as_bytes()).unwrap();
         let cursor = restored.events_pulled() as usize;
         let report = Pipeline::builder(reg.clone(), queries.clone())
             .workers(workers)
-            .resume(
-                &restored,
+            .resume_from(
+                &store,
                 ReplaySource::new(events[cursor..].to_vec()),
                 frozen.sink,
             )
@@ -236,11 +245,15 @@ fn pipeline_checkpoint_resume_bounded_late_mid_flight() {
             "{workers} workers: barrier should land mid-stream (cursor {cursor})"
         );
 
+        let store = MemStore::new();
+        store
+            .append(&Checkpoint::from_bytes(frozen.checkpoint.to_bytes()).unwrap())
+            .unwrap();
         let report = Pipeline::builder(reg.clone(), queries.clone())
             .workers(workers)
             .watermark(BoundedLateness::new(lateness))
-            .resume(
-                &frozen.checkpoint,
+            .resume_from(
+                &store,
                 ReplaySource::new(delivered[cursor..].to_vec()),
                 frozen.sink,
             )
@@ -290,11 +303,12 @@ proptest! {
         for e in &events[..cut] {
             let _ = victim.process(e);
         }
-        let blob = victim.checkpoint();
+        let blob = victim.cut(CutKind::Full).unwrap();
+        let next = victim.cut(CutKind::Full).unwrap();
         drop(victim);
         let mut survivor = mk();
-        survivor.restore(&blob).unwrap();
-        prop_assert_eq!(&survivor.checkpoint(), &blob, "round trip, cut {}", cut);
+        survivor.restore_chain(&[blob]).unwrap();
+        prop_assert_eq!(&survivor.cut(CutKind::Full).unwrap(), &next, "round trip, cut {}", cut);
         let mut recovered = Vec::new();
         for e in &events[cut..] {
             recovered.extend(survivor.process(e));
@@ -315,10 +329,13 @@ proptest! {
         let par = ParallelEngine::new(
             reg.clone(), queries.clone(), EngineConfig::default(), 2).unwrap();
         let gold_par = par.run(&events);
-        let pre = par.run_to_checkpoint(&events[..cut]);
-        let post = par.resume(&pre.checkpoint, &events[cut..]).unwrap();
-        let mut all = pre.report.results.clone();
-        all.extend(post.results);
+        let mut pre = par.session();
+        let mut all = pre.process(&events[..cut]);
+        let record = pre.cut(CutKind::Full).unwrap();
+        let mut post = par.session();
+        post.restore_chain(&[record]).unwrap();
+        all.extend(post.process(&events[cut..]));
+        all.extend(post.flush());
         sort_results(&mut all);
         prop_assert_eq!(&all, &gold_par.results, "parallel seed {} cut {}", seed, cut);
     }

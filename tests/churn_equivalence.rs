@@ -7,11 +7,11 @@
 //!   and 4 workers against a single-engine reference that applies the
 //!   same ops at the same stream positions, in canonical order;
 //! * a proptest over churn positions × stream shapes;
-//! * checkpoint/restore **mid-churn**: a blob taken after churn restores
-//!   only into an engine at the same workload epoch (built with the
-//!   post-churn query set, epoch declared via [`checkpoint_epoch`]) and
-//!   then continues byte-identically; a cross-epoch restore is rejected
-//!   with `WorkloadMismatch`.
+//! * checkpoint/restore **mid-churn**: a record cut after churn carries
+//!   the workload epoch, restores into an engine built with the
+//!   post-churn query set (which adopts the epoch) and then continues
+//!   byte-identically; a pre-churn record is rejected by a churned
+//!   engine with `WorkloadMismatch`.
 //!
 //! This is the acceptance property of the churn subsystem, the runtime
 //! face of Def. 12: re-planning happens online, and correctness is
@@ -178,12 +178,12 @@ fn invalid_schedule_rejects_upfront_and_leaves_engine_usable() {
     assert_eq!(eng.run(&events).results, gold.results);
 }
 
-/// Checkpoint taken mid-stream *after* churn: restoring demands the same
-/// workload epoch. A fresh engine built with the post-churn query set
-/// (epoch 0) is rejected with `WorkloadMismatch`; after declaring the
-/// blob's epoch via [`checkpoint_epoch`] + `set_epoch`, restore succeeds
-/// and the continuation is byte-identical to the uninterrupted churned
-/// run — raw emission order, no normalization.
+/// Checkpoint taken mid-stream *after* churn: the record carries the
+/// workload epoch, a fresh engine built with the post-churn query set
+/// adopts it on restore, and the continuation is byte-identical to the
+/// uninterrupted churned run — raw emission order, no normalization. A
+/// record whose workload does not match (pre-churn, into a churned
+/// engine) is rejected with `WorkloadMismatch`.
 #[test]
 fn mid_churn_checkpoint_restores_at_matching_epoch_only() {
     let (reg, pool) = pool();
@@ -229,25 +229,21 @@ fn mid_churn_checkpoint_restores_at_matching_epoch_only() {
     for e in &events[n / 3..n / 2] {
         let _ = victim.process(e);
     }
-    let blob = victim.checkpoint();
+    let blob = victim.cut(CutKind::Full).unwrap();
+    let next = victim.cut(CutKind::Full).unwrap();
     drop(victim); // the crash
 
-    assert_eq!(checkpoint_epoch(&blob).unwrap(), 2);
+    assert_eq!(blob.epoch(), 2);
 
-    // Epoch 0 engine with the right query set: rejected, engine unharmed.
+    // An engine built with the post-churn query set adopts the epoch,
+    // and continues exactly.
     let mut survivor =
         HamletEngine::new(reg.clone(), post_churn.clone(), EngineConfig::default()).unwrap();
-    match survivor.restore(&blob) {
-        Err(CheckpointError::WorkloadMismatch(_)) => {}
-        other => panic!("cross-epoch restore must fail with WorkloadMismatch, got {other:?}"),
-    }
-
-    // Declare the blob's epoch: restore succeeds and continues exactly.
-    survivor.set_epoch(checkpoint_epoch(&blob).unwrap());
-    survivor.restore(&blob).unwrap();
+    survivor.restore_chain(&[blob]).unwrap();
+    assert_eq!(survivor.epoch(), 2, "restore adopts the record's epoch");
     assert_eq!(
-        survivor.checkpoint(),
-        blob,
+        survivor.cut(CutKind::Full).unwrap(),
+        next,
         "checkpoint/restore round trip is not the identity"
     );
     for (i, e) in events[n / 2..].iter().enumerate() {
@@ -260,15 +256,16 @@ fn mid_churn_checkpoint_restores_at_matching_epoch_only() {
     }
     assert_eq!(survivor.flush(), gold_flush, "flush diverged");
 
-    // And the other direction: a pre-churn (epoch 0) blob does not
+    // And the other direction: a pre-churn (epoch 0) record does not
     // restore into an engine that has since churned.
-    let early = HamletEngine::new(reg.clone(), initial.clone(), EngineConfig::default()).unwrap();
-    let early_blob = early.checkpoint();
+    let mut early =
+        HamletEngine::new(reg.clone(), initial.clone(), EngineConfig::default()).unwrap();
+    let early_blob = early.cut(CutKind::Full).unwrap();
     let mut churned =
         HamletEngine::new(reg.clone(), initial.clone(), EngineConfig::default()).unwrap();
     churn(&mut churned);
     assert!(matches!(
-        churned.restore(&early_blob),
+        churned.restore_chain(&[early_blob]),
         Err(CheckpointError::WorkloadMismatch(_))
     ));
 }

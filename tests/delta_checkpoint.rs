@@ -8,8 +8,8 @@
 //! exactly the uninterrupted run's suffix. Proven at every layer:
 //!
 //! * the single engine, through [`Snapshot`] + [`MemStore`];
-//! * [`ParallelSession`] at 1 and 4 workers, whose `HMPC` container
-//!   chains decompose into per-shard chains;
+//! * [`ParallelSession`] at 1 and 4 workers, whose shard-set records
+//!   every shard engine restores its own payload from;
 //! * the online pipeline (`checkpoint_store` / `checkpoint_every` /
 //!   `resume_from`) at 1 and 4 workers, through an on-disk [`DirStore`];
 //! * a proptest over stream shapes × cut cadences × compaction points.
@@ -59,24 +59,26 @@ fn offline(reg: &Arc<TypeRegistry>, queries: &[Query], events: &[Event]) -> Vec<
 
 /// Drives `eng` over `events`, cutting into `store` after every
 /// `cadence` events — `Delta` requested, with every `compact_every`-th
-/// cut requested `Full` (the compaction). Returns the emissions, the
-/// stream position of the last cut, and the engine's **full** checkpoint
-/// captured at that barrier — the byte-identity reference. (A reference
-/// from a separate run would not do: checkpoints carry the engine's
-/// wall-clock telemetry — the paper's §6.2 decision-time metric — so
-/// only a blob cut by the same run at the same barrier can match
-/// bit-for-bit.)
+/// cut requested `Full` (the compaction) — and on past the last cut to
+/// the end of the stream (the work a crash loses). Returns the
+/// emissions, the stream position of the last cut, and the **full**
+/// record the engine cuts (but does not store) right after that last
+/// cut — the byte-identity reference: the next record of its chain. (A
+/// reference from a separate run would not do: records carry the
+/// engine's wall-clock telemetry — the paper's §6.2 decision-time
+/// metric — so only a record cut by the same run at the same barrier
+/// can match bit-for-bit.)
 fn drive_with_cuts(
     eng: &mut HamletEngine,
     store: &dyn CheckpointStore,
     events: &[Event],
     cadence: usize,
     compact_every: usize,
-) -> (Vec<WindowResult>, usize, Vec<u8>) {
+) -> (Vec<WindowResult>, usize, Option<Checkpoint>) {
     let mut out = Vec::new();
     let mut cuts = 0usize;
-    let mut last_cut = 0usize;
-    let mut full_at_cut = Vec::new();
+    let last_cut = events.len() / cadence * cadence;
+    let mut full_at_cut = None;
     for (i, e) in events.iter().enumerate() {
         out.extend(eng.process(e));
         if (i + 1) % cadence == 0 {
@@ -87,8 +89,9 @@ fn drive_with_cuts(
                 CutKind::Delta
             };
             store.append(&eng.cut(kind).expect("cut")).expect("append");
-            last_cut = i + 1;
-            full_at_cut = eng.checkpoint();
+            if i + 1 == last_cut {
+                full_at_cut = Some(eng.cut(CutKind::Full).expect("reference cut"));
+            }
         }
     }
     (out, last_cut, full_at_cut)
@@ -96,10 +99,10 @@ fn drive_with_cuts(
 
 /// Engine level: cadence cuts with compaction into a [`MemStore`], kill
 /// mid-delta-interval, restore a fresh engine from the stored chain.
-/// The survivor's full checkpoint is byte-identical to (a) the full
-/// checkpoint the uninterrupted run cut at the same barrier and (b) an
-/// engine restored from that full checkpoint — then both the per-event
-/// suffix and the final flush match the uninterrupted run.
+/// The survivor's next full cut is byte-identical to (a) the full record
+/// the uninterrupted run cut at the same barrier and, one cut later, (b)
+/// that of an engine restored from that full record — then both the
+/// per-event suffix and the final flush match the uninterrupted run.
 #[test]
 fn engine_chain_restore_is_byte_identical_and_continues() {
     let (reg, queries) = workload();
@@ -137,18 +140,19 @@ fn engine_chain_restore_is_byte_identical_and_continues() {
         "chain = the last compacted base plus the deltas cut after it"
     );
 
+    let full = full.expect("at least one cut");
     let mut survivor = mk();
     survivor.restore_chain(&chain).unwrap();
     assert_eq!(
-        survivor.checkpoint(),
+        survivor.cut(CutKind::Full).unwrap(),
         full,
         "chain restore is not byte-identical to the uninterrupted run's state at the cut"
     );
     let mut from_full = mk();
-    from_full.restore(&full).unwrap();
+    from_full.restore_chain(&[full]).unwrap();
     assert_eq!(
-        survivor.checkpoint(),
-        from_full.checkpoint(),
+        survivor.cut(CutKind::Full).unwrap(),
+        from_full.cut(CutKind::Full).unwrap(),
         "chain restore is not byte-identical to a full-checkpoint restore"
     );
 
@@ -171,7 +175,7 @@ fn engine_chain_restore_is_byte_identical_and_continues() {
 }
 
 /// Parallel layer at 1 and 4 workers: a [`ParallelSession`] cuts its
-/// `HMPC` container chain at a fixed cadence; a second session restored
+/// shard-set chain at a fixed cadence; a second session restored
 /// from the store mid-delta-interval processes the remainder in
 /// lockstep with the session that never crashed — identical emissions,
 /// identical flush, and byte-identical subsequent cuts.
@@ -212,7 +216,7 @@ fn parallel_session_chain_restore_is_identical_at_1_and_4_workers() {
 
         // The crash: a fresh session rebuilt from the store, now at the
         // same stream position as `live`. Before feeding anything, both
-        // must cut byte-identical full containers — the restored state
+        // must cut byte-identical full records — the restored state
         // equals the live one bit-for-bit, wall-clock telemetry
         // included, because the chain carries it. (After processing
         // resumes, each run accrues its own decision-time nanos, so the
@@ -340,6 +344,55 @@ fn pipeline_dirstore_chain_resume_at_1_and_4_workers() {
     }
 }
 
+/// A pipeline that took cadence cuts and is then frozen with
+/// `PipelineHandle::checkpoint` extends its own chain: the frozen record
+/// is a full cut numbered after the cadence cuts, so appended to the
+/// same [`DirStore`] it becomes the chain tip, and `resume_from` picks up
+/// exactly where the freeze stopped. (A freeze numbered outside the
+/// chain would be shadowed by the older cadence base, and the resume
+/// would silently restore state 240 events stale.)
+#[test]
+fn pipeline_freeze_after_cadence_cuts_is_the_chain_tip() {
+    let (reg, queries) = workload();
+    let mut events = stream(&reg, 11, 2_000, 12);
+    assert!(events.len() >= 1_990);
+    events.truncate(1_990);
+    let dir = scratch_dir("freeze");
+    let store = Arc::new(DirStore::open(&dir).unwrap());
+    let handle = Pipeline::builder(reg.clone(), queries.clone())
+        .workers(2)
+        .checkpoint_store(store.clone())
+        .checkpoint_every(250)
+        .spawn(ReplaySource::new(events.clone()), VecSink::new())
+        .unwrap();
+    wait_for(&handle, |m| m.source_done && m.queued() == 0);
+    let frozen = handle.checkpoint();
+    store
+        .append(&Checkpoint::from_bytes(frozen.checkpoint.to_bytes()).unwrap())
+        .unwrap();
+
+    let reopened = DirStore::open(&dir).unwrap();
+    let chain = reopened.load_chain().unwrap();
+    let tip = PipelineCheckpoint::from_bytes(chain[chain.len() - 1].as_bytes()).unwrap();
+    assert_eq!(
+        tip.events_pulled(),
+        1_990,
+        "the freeze must be the chain tip"
+    );
+    let resumed = Pipeline::builder(reg.clone(), queries.clone())
+        .workers(2)
+        .resume_from(&reopened, ReplaySource::new(Vec::new()), frozen.sink)
+        .unwrap()
+        .drain();
+    assert_eq!(resumed.events, 1_990, "counters continue");
+    let mut got = resumed.sink.results;
+    sort_results(&mut got);
+    let mut want = offline(&reg, &queries, &events);
+    sort_results(&mut want);
+    assert_eq!(got, want, "freeze, append, resume must equal offline");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A chain with a missing link (a delta removed from the middle) is
 /// rejected with [`CheckpointError::Corrupt`] before any state commits,
 /// as is a chain that holds deltas but no base at all.
@@ -445,7 +498,7 @@ proptest! {
     /// Random stream shapes × random cut cadences × random compaction
     /// points: the engine-level chain restore is byte-identical to the
     /// uninterrupted run and continues identically, and a 4-worker
-    /// [`ParallelSession`] restored from its container chain stays in
+    /// [`ParallelSession`] restored from its shard-set chain stays in
     /// lockstep with the session that never crashed.
     #[test]
     fn random_cadences_and_compaction_recover_identically(
@@ -486,7 +539,7 @@ proptest! {
         let mut survivor = mk();
         survivor.restore_chain(&chain).unwrap();
         prop_assert_eq!(
-            survivor.checkpoint(), full,
+            Some(survivor.cut(CutKind::Full).unwrap()), full,
             "seed {} cadence {} compact {}: chain restore not byte-identical",
             seed, cadence, compact_every
         );
@@ -504,7 +557,7 @@ proptest! {
         expected.extend(oracle.flush());
         prop_assert_eq!(&recovered, &expected, "seed {} cadence {}", seed, cadence);
 
-        // Parallel container chain at 4 workers, in lockstep.
+        // Parallel shard-set chain at 4 workers, in lockstep.
         let par = ParallelEngine::new(
             reg.clone(), queries.clone(), EngineConfig::default(), 4).unwrap();
         let store = MemStore::new();

@@ -8,7 +8,7 @@
 //! randomized streams.
 
 use hamlet_baselines::{GretaEngine, TwoStepEngine};
-use hamlet_core::{EngineConfig, HamletEngine, SharingPolicy, WindowResult};
+use hamlet_core::{CutKind, EngineConfig, HamletEngine, SharingPolicy, Snapshot, WindowResult};
 use hamlet_query::{parse_query, Query};
 use hamlet_types::{AttrValue, Event, Ts, TypeRegistry};
 use proptest::prelude::*;
@@ -523,20 +523,21 @@ proptest! {
         let batch_flush = batch_eng.flush();
         prop_assert_eq!(&batch_flush, &fold_eng.flush());
 
-        // Checkpoint mid-batch-stream: freeze after an arbitrary prefix
-        // of chunks, restore into a fresh engine, continue — the restored
-        // engine re-serializes to the same bytes and the continued run is
-        // byte-identical to the uninterrupted one.
+        // Checkpoint mid-batch-stream: cut after an arbitrary prefix of
+        // chunks, restore into a fresh engine, continue — the restored
+        // engine's next cut equals the original's byte for byte and the
+        // continued run is byte-identical to the uninterrupted one.
         let cut = (batch_size * 2).min(events.len());
         let mut pre = mk();
         let mut resumed_out = Vec::new();
         for chunk in events[..cut].chunks(batch_size) {
             resumed_out.extend(pre.process_batch(chunk));
         }
-        let blob = pre.checkpoint();
+        let blob = pre.cut(CutKind::Full).unwrap();
+        let next = pre.cut(CutKind::Full).unwrap();
         let mut resumed = mk();
-        resumed.restore(&blob).unwrap();
-        prop_assert_eq!(resumed.checkpoint(), blob);
+        resumed.restore_chain(&[blob]).unwrap();
+        prop_assert_eq!(resumed.cut(CutKind::Full).unwrap(), next);
         for chunk in events[cut..].chunks(batch_size) {
             resumed_out.extend(resumed.process_batch(chunk));
         }
