@@ -7,7 +7,7 @@
 //! reproduction asserts (see EXPERIMENTS.md).
 
 use crate::{run_system, HarnessConfig, Measurement, System};
-use hamlet_core::{ChurnOp, EngineConfig, HamletEngine};
+use hamlet_core::{ChurnOp, EngineConfig, HamletEngine, LatencyRecorder};
 use hamlet_pipeline::{CountingSink, Pipeline, RateLimitedSource, ReplaySource};
 use hamlet_query::Query;
 use hamlet_stream::{nyc_taxi, ridesharing, smart_home, stock, GenConfig};
@@ -595,10 +595,10 @@ pub fn fig_latency(quick: bool) -> Figure {
 /// Two families of runs per cardinality:
 ///
 /// * The full-checkpoint pair — `HAMLET` (single engine) and
-///   `HAMLET-par4` (4-worker parallel session) — each processes half
-///   the stream, cuts one full record (the measured pause), restores it
-///   into a fresh engine or session (the measured recovery), and
-///   finishes the stream.
+///   `HAMLET-par4` (4-worker [`ParallelEngine`](hamlet_core::ParallelEngine)
+///   shard set) — each processes half the stream, cuts one full record
+///   (the measured pause), restores it into a fresh engine or shard set
+///   (the measured recovery), and finishes the stream.
 /// * The delta-chain runs — `HAMLET-delta` and
 ///   `HAMLET-par4-delta` cut an incremental checkpoint into a
 ///   [`MemStore`](hamlet_core::MemStore) every `CUT_CADENCE` events
@@ -682,6 +682,7 @@ pub fn fig_checkpoint(quick: bool) -> Figure {
             m.wall = t0.elapsed();
             m.results = results;
             m.throughput_eps = events.len() as f64 / m.wall.as_secs_f64().max(1e-9);
+            m.latency_avg = resumed.latency().avg();
             m.peak_mem_bytes = resumed.peak_memory().max(resumed.state_bytes());
             m.checkpoint_bytes = blob.len() as u64;
             m.checkpoint_pause = pause;
@@ -690,19 +691,21 @@ pub fn fig_checkpoint(quick: bool) -> Figure {
         }
 
         // 4-worker coordinated full cut at the midpoint through the
-        // parallel session, restored into a fresh session that finishes.
+        // shard set, restored into a fresh shard set that finishes.
         {
+            let shard_set = || {
+                ParallelEngine::new(reg.clone(), queries.clone(), EngineConfig::default(), 4)
+                    .expect("parallel engine builds")
+            };
             let t0 = Instant::now();
-            let par = ParallelEngine::new(reg.clone(), queries.clone(), EngineConfig::default(), 4)
-                .expect("parallel engine builds");
-            let mut pre = par.session();
+            let mut pre = shard_set();
             let mut results = pre.process(&events[..cut]).len() as u64;
             let p0 = Instant::now();
             let blob = pre.cut(CutKind::Full).expect("coordinated cut");
             let pause = p0.elapsed();
             drop(pre);
             let r0 = Instant::now();
-            let mut post = par.session();
+            let mut post = shard_set();
             post.restore_chain(std::slice::from_ref(&blob))
                 .expect("own checkpoint restores");
             let recovery = r0.elapsed();
@@ -716,6 +719,7 @@ pub fn fig_checkpoint(quick: bool) -> Figure {
             m.wall = t0.elapsed();
             m.results = results;
             m.throughput_eps = events.len() as f64 / m.wall.as_secs_f64().max(1e-9);
+            m.latency_avg = post.latency().avg();
             m.peak_mem_bytes = post.peak_memory();
             m.checkpoint_bytes = blob.len() as u64;
             m.checkpoint_pause = pause;
@@ -782,6 +786,7 @@ pub fn fig_checkpoint(quick: bool) -> Figure {
             m.wall = wall;
             m.results = results;
             m.throughput_eps = events.len() as f64 / wall.as_secs_f64().max(1e-9);
+            m.latency_avg = eng.latency().avg();
             m.peak_mem_bytes = eng.peak_memory().max(eng.state_bytes());
             m.checkpoint_bytes = base_bytes;
             m.checkpoint_pause = if cuts > 0 {
@@ -813,19 +818,20 @@ pub fn fig_checkpoint(quick: bool) -> Figure {
             m.wall = t0.elapsed();
             m.results = results;
             m.throughput_eps = events.len() as f64 / m.wall.as_secs_f64().max(1e-9);
+            m.latency_avg = eng.latency().avg();
             m.peak_mem_bytes = eng.peak_memory().max(eng.state_bytes());
             ms.push(m);
         }
 
-        // 4-worker coordinated delta chain through the parallel
-        // session: per-shard deltas packed into one shard-set record per
-        // cut; on recovery every shard replays its own payloads.
+        // 4-worker coordinated delta chain through the shard set:
+        // per-shard deltas packed into one shard-set record per cut; on
+        // recovery every shard replays its own payloads.
         {
             let store = MemStore::new();
             let t0 = Instant::now();
-            let par = ParallelEngine::new(reg.clone(), queries.clone(), EngineConfig::default(), 4)
-                .expect("parallel engine builds");
-            let mut live = par.session();
+            let mut live =
+                ParallelEngine::new(reg.clone(), queries.clone(), EngineConfig::default(), 4)
+                    .expect("parallel engine builds");
             let mut results = 0u64;
             let mut cuts = 0u64;
             let mut cut_time = Duration::ZERO;
@@ -852,13 +858,12 @@ pub fn fig_checkpoint(quick: bool) -> Figure {
             let wall = t0.elapsed();
             let chain = store.load_chain().expect("chain loads");
             let r0 = Instant::now();
-            let par2 =
+            let mut recovered =
                 ParallelEngine::new(reg.clone(), queries.clone(), EngineConfig::default(), 4)
                     .expect("parallel engine builds");
-            let mut recovered = par2.session();
             recovered.restore_chain(&chain).expect("chain restores");
             let recovery = r0.elapsed();
-            // Byte-identity at the shared barrier: both sessions cut a
+            // Byte-identity at the shared barrier: both shard sets cut a
             // full record before either processes anything further.
             assert!(
                 recovered
@@ -877,6 +882,7 @@ pub fn fig_checkpoint(quick: bool) -> Figure {
             m.wall = wall;
             m.results = results;
             m.throughput_eps = events.len() as f64 / wall.as_secs_f64().max(1e-9);
+            m.latency_avg = live.latency().avg();
             m.peak_mem_bytes = live.peak_memory();
             m.checkpoint_bytes = base_bytes;
             m.checkpoint_pause = if cuts > 0 {
@@ -1009,6 +1015,7 @@ fn churn_online(
     m.wall = t0.elapsed();
     m.results = results;
     m.throughput_eps = events.len() as f64 / m.wall.as_secs_f64().max(1e-9);
+    m.latency_avg = eng.latency().avg();
     m.peak_mem_bytes = eng.peak_memory().max(eng.state_bytes());
     let s = eng.stats();
     m.snapshots = s.runs.snapshots();
@@ -1034,19 +1041,23 @@ fn churn_restart(
     let mut eng = HamletEngine::new(reg.clone(), live.clone(), EngineConfig::default())
         .expect("engine builds");
     let mut results = 0u64;
+    // Every engine the run goes through records latency for the
+    // windows it closed; the row reports all of them.
+    let mut latency = LatencyRecorder::new();
     let mut next = 0usize;
     for (idx, e) in events.iter().enumerate() {
         while next < schedule.len() && schedule[next].0 <= idx {
-            match schedule[next].1.clone() {
-                ChurnOp::Add(q) => live.push(q),
-                ChurnOp::Remove(id) => live.retain(|q| q.id != id),
-            }
+            schedule[next]
+                .1
+                .apply_to(&mut live)
+                .expect("churn schedule is valid");
             // The stream is in timestamp order, so the replay tail is a
             // suffix of the processed prefix: every event whose window
             // horizon still reaches past the last processed timestamp.
             let wm = events[idx.saturating_sub(1)].time.ticks();
             let within = live.iter().map(|q| q.window.within).max().unwrap_or(0);
             let tail = events[..idx].partition_point(|e| e.time.ticks() + within <= wm);
+            latency.merge(eng.latency());
             eng = HamletEngine::new(reg.clone(), live.clone(), EngineConfig::default())
                 .expect("engine builds");
             for old in &events[tail..idx] {
@@ -1057,10 +1068,12 @@ fn churn_restart(
         results += eng.process(e).len() as u64;
     }
     results += eng.flush().len() as u64;
+    latency.merge(eng.latency());
     let mut m = Measurement::zero(System::HamletRestart, events.len() as u64, queries.len());
     m.wall = t0.elapsed();
     m.results = results;
     m.throughput_eps = events.len() as f64 / m.wall.as_secs_f64().max(1e-9);
+    m.latency_avg = latency.avg();
     m.peak_mem_bytes = eng.peak_memory().max(eng.state_bytes());
     let s = eng.stats();
     m.snapshots = s.runs.snapshots();
@@ -1322,6 +1335,11 @@ mod tests {
             );
             for m in ms {
                 assert!(m.results > 0, "{x}/{:?}: run completed", m.system);
+                assert!(
+                    m.latency_avg > Duration::ZERO,
+                    "{x}/{:?}: latency measured",
+                    m.system
+                );
                 if m.system == System::HamletNoCheckpoint {
                     assert_eq!(m.checkpoint_bytes, 0, "{x}: nockpt run cut nothing");
                     continue;
@@ -1388,6 +1406,13 @@ mod tests {
         assert_eq!(fig.x_label, "churn ops");
         assert_eq!(fig.rows.len(), 2);
         for (ops, ms) in &fig.rows {
+            for m in ms {
+                assert!(
+                    m.latency_avg > Duration::ZERO,
+                    "{ops}/{:?}: latency measured",
+                    m.system
+                );
+            }
             let online = ms
                 .iter()
                 .find(|m| m.system == System::HamletChurn)

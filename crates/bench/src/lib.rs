@@ -84,8 +84,8 @@ pub enum System {
     /// overhead (`perf_gate --max-cadence-overhead`). Also driven by
     /// [`figures::fig_checkpoint`].
     HamletNoCheckpoint,
-    /// The `n`-worker parallel session taking coordinated fixed-cadence
-    /// delta cuts, then recovering a fresh session from the chain. Also
+    /// The `n`-worker parallel shard set taking coordinated fixed-cadence
+    /// delta cuts, then recovering a fresh shard set from the chain. Also
     /// driven by [`figures::fig_checkpoint`].
     HamletParallelDelta(u32),
 }
@@ -287,19 +287,19 @@ pub fn run_system(
             m.transitions = s.runs.merges + s.runs.splits;
         }
         System::HamletParallel(workers) => {
-            let eng = ParallelEngine::new(
+            let mut eng = ParallelEngine::new(
                 reg.clone(),
                 queries.to_vec(),
                 EngineConfig::default(),
                 workers,
             )
             .expect("parallel engine builds");
-            let report = eng.run(events);
-            m.results = report.results.len() as u64;
+            m.results = eng.process(events).len() as u64;
+            m.results += eng.flush().len() as u64;
             m.wall = t0.elapsed();
-            m.latency_avg = report.merged_latency().avg();
-            m.peak_mem_bytes = report.total_peak_mem();
-            let s = report.merged_stats();
+            m.latency_avg = eng.latency().avg();
+            m.peak_mem_bytes = eng.peak_memory();
+            let s = eng.stats();
             m.snapshots = s.runs.snapshots();
             m.shared_bursts = s.runs.shared_bursts;
             m.solo_bursts = s.runs.solo_bursts;

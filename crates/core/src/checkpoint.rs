@@ -61,7 +61,7 @@ const KIND_DELTA: u8 = 1;
 /// borrows from the record bytes).
 ///
 /// A single engine cuts a frame with one shard payload and an empty
-/// tail. A shard set (the parallel session, the pipeline) packs the
+/// tail. A shard set (`ParallelEngine`, the pipeline) packs the
 /// payloads its engines cut at one barrier, in shard order; the
 /// pipeline appends its reorder buffer, cursor and counters as the tail.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -53,8 +53,9 @@ pub struct EngineConfig {
     /// Track per-result latency with wall-clock arrival stamps.
     pub track_latency: bool,
     /// Shared-nothing sharding: `(index, total)` makes this engine own
-    /// only the partitions whose key hashes to `index` — the building
-    /// block of [`crate::parallel::ParallelEngine`]. `None` owns all.
+    /// only the partitions whose key hashes to `index` — each shard of a
+    /// [`crate::parallel::ParallelEngine`] or a pipeline worker is one.
+    /// `None` owns all.
     pub shard: Option<(u32, u32)>,
     /// Maintain the per-share-group observability registry
     /// ([`HamletEngine::group_metrics`]): live counters per group plus
@@ -178,8 +179,8 @@ pub struct EngineStats {
 
 impl EngineStats {
     /// Accumulates another engine's counters, e.g. to aggregate the
-    /// per-worker statistics of a [`crate::parallel::ParallelEngine`] run
-    /// into one workload-level view.
+    /// per-shard statistics of a [`crate::parallel::ParallelEngine`] into
+    /// one workload-level view ([`crate::parallel::ParallelEngine::stats`]).
     pub fn merge(&mut self, o: &EngineStats) {
         self.runs.add(&o.runs);
         self.decisions += o.decisions;
@@ -230,10 +231,11 @@ pub(crate) fn shard_index(key: &GroupKey, total: u32) -> u32 {
     (h.finish() % total as u64) as u32
 }
 
-/// Sorts window results into the canonical report order: ascending
-/// `(window_start, query, group_key)`. This is the order
-/// [`crate::parallel::ParallelReport::results`] guarantees; applying it to
-/// a single-threaded run makes the two byte-comparable.
+/// Sorts window results into the canonical order: ascending
+/// `(window_start, query, group_key)`. Every
+/// [`crate::parallel::ParallelEngine`] call returns its rows in this
+/// order; applying it to the whole output of a sharded and of a
+/// single-threaded run makes the two byte-comparable.
 pub fn sort_results(results: &mut [WindowResult]) {
     results.sort_by(|a, b| {
         (a.window_start, a.query)
@@ -522,6 +524,31 @@ pub enum ChurnOp {
     Add(Query),
     /// Retire the query with this id.
     Remove(QueryId),
+}
+
+impl ChurnOp {
+    /// Applies the op to a query list: appends the added query or drops
+    /// the removed one. Fails with [`ChurnError::Duplicate`] /
+    /// [`ChurnError::Unknown`] and leaves the list untouched when the id
+    /// is already / not registered.
+    pub fn apply_to(&self, queries: &mut Vec<Query>) -> Result<(), ChurnError> {
+        match self {
+            ChurnOp::Add(q) if queries.iter().any(|p| p.id == q.id) => {
+                Err(ChurnError::Duplicate(q.id))
+            }
+            ChurnOp::Add(q) => {
+                queries.push(q.clone());
+                Ok(())
+            }
+            ChurnOp::Remove(id) if !queries.iter().any(|p| p.id == *id) => {
+                Err(ChurnError::Unknown(*id))
+            }
+            ChurnOp::Remove(id) => {
+                queries.retain(|p| p.id != *id);
+                Ok(())
+            }
+        }
+    }
 }
 
 /// Errors from runtime query churn. The engine is never left
@@ -1493,7 +1520,7 @@ impl HamletEngine {
     /// common per-event case. Emission follows the defined total order
     /// `(window_start, group, key)`, so single-threaded output is
     /// deterministic by construction (the same order
-    /// [`sort_results`] / [`crate::parallel::ParallelReport`] guarantee
+    /// [`sort_results`] / [`crate::parallel::ParallelEngine`] guarantee
     /// within one window instance).
     fn emit_expired(&mut self, watermark: Ts, out: &mut Vec<WindowResult>) {
         #[cfg(test)]
@@ -2399,12 +2426,7 @@ impl HamletEngine {
     /// assert_eq!(report.epoch, 2);
     /// ```
     pub fn add_query(&mut self, q: Query) -> Result<ChurnReport, ChurnError> {
-        if self.queries.iter().any(|p| p.id == q.id) {
-            return Err(ChurnError::Duplicate(q.id));
-        }
-        let mut wanted = self.queries.clone();
-        wanted.push(q);
-        self.apply_churn(wanted)
+        self.churn(ChurnOp::Add(q))
     }
 
     /// Retires a query from the live engine.
@@ -2427,15 +2449,14 @@ impl HamletEngine {
     /// Fails with [`ChurnError::Unknown`] on an unregistered id (double
     /// removes included); the engine is untouched on error.
     pub fn remove_query(&mut self, id: QueryId) -> Result<ChurnReport, ChurnError> {
-        if !self.queries.iter().any(|p| p.id == id) {
-            return Err(ChurnError::Unknown(id));
-        }
-        let wanted: Vec<Query> = self
-            .queries
-            .iter()
-            .filter(|p| p.id != id)
-            .cloned()
-            .collect();
+        self.churn(ChurnOp::Remove(id))
+    }
+
+    /// Validates `op` against the live query list and rebuilds around
+    /// the result.
+    fn churn(&mut self, op: ChurnOp) -> Result<ChurnReport, ChurnError> {
+        let mut wanted = self.queries.clone();
+        op.apply_to(&mut wanted)?;
         self.apply_churn(wanted)
     }
 

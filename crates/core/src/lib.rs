@@ -63,7 +63,7 @@ pub use executor::{
 pub use hamlet_obs::{GroupMetrics, Span, SpanRecorder, Stage};
 pub use metrics::{LatencyHistogram, LatencyRecorder};
 pub use optimizer::SharingPolicy;
-pub use parallel::{ParallelEngine, ParallelReport, ParallelSession, DEFAULT_BATCH};
+pub use parallel::ParallelEngine;
 pub use run::{BurstCtx, GroupRuntime, MemberOutput, Run, RunStats};
 pub use store::{
     Checkpoint, CheckpointKind, CheckpointStore, CutKind, DirStore, MemStore, Snapshot,

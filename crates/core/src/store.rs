@@ -244,8 +244,8 @@ pub(crate) fn live_frames(chain: &[Checkpoint]) -> Result<Vec<Frame<'_>>, Checkp
 }
 
 /// The one checkpoint surface every layer implements — the engine
-/// ([`HamletEngine`]), the parallel session
-/// ([`crate::parallel::ParallelSession`]), and the live pipeline
+/// ([`HamletEngine`]), the parallel shard set
+/// ([`crate::parallel::ParallelEngine`]), and the live pipeline
 /// (`hamlet_pipeline::PipelineHandle`). `cut` emits the next record of
 /// the layer's chain; `restore_chain` replays an ordered chain (as
 /// loaded by [`CheckpointStore::load_chain`]) into a freshly built

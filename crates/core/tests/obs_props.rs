@@ -117,14 +117,16 @@ fn group_metrics_identical_one_vs_four_workers() {
         .collect();
     let events = materialize(&reg, &shape);
     let merged = |workers: u32| {
-        let eng = ParallelEngine::new(
+        let mut eng = ParallelEngine::new(
             reg.clone(),
             queries.clone(),
             EngineConfig::default(),
             workers,
         )
         .expect("parallel engine builds");
-        eng.run(&events).merged_group_metrics()
+        eng.process(&events);
+        eng.flush();
+        eng.group_metrics()
     };
     let one = merged(1);
     let four = merged(4);
@@ -149,10 +151,11 @@ proptest! {
         whole.flush();
         let solo = whole.group_metrics().to_vec();
 
-        let sharded = ParallelEngine::new(reg, queries, EngineConfig::default(), 3)
-            .expect("parallel engine builds")
-            .run(&events)
-            .merged_group_metrics();
+        let mut par = ParallelEngine::new(reg, queries, EngineConfig::default(), 3)
+            .expect("parallel engine builds");
+        par.process(&events);
+        par.flush();
+        let sharded = par.group_metrics();
 
         // The single engine's snapshot is already canonical modulo
         // ordering: compare signature-by-signature.

@@ -284,7 +284,7 @@ mod tests {
     }
 
     /// Every proper prefix of a base and a delta record — engine-level
-    /// and shard-set (parallel session and pipeline) — is refused
+    /// and shard-set (`ParallelEngine` and pipeline) — is refused
     /// cleanly, never a panic; so is every proper prefix of each shard
     /// payload re-framed into an otherwise well-formed record, which
     /// reaches the state decoder itself.
@@ -303,9 +303,9 @@ mod tests {
         let e_delta = eng.cut(CutKind::Delta).unwrap();
         assert!(e_delta.is_delta());
 
-        let par =
-            ParallelEngine::new(reg.clone(), queries.clone(), EngineConfig::default(), 2).unwrap();
-        let mut sess = par.session();
+        let mk_par =
+            || ParallelEngine::new(reg.clone(), queries.clone(), EngineConfig::default(), 2);
+        let mut sess = mk_par().unwrap();
         sess.process(&events[..40]);
         let s_base = sess.cut(CutKind::Full).unwrap();
         sess.process(&events[40..]);
@@ -330,7 +330,7 @@ mod tests {
         ];
         // A failed restore leaves its target untouched, so one of each
         // serves every attempt.
-        let (mut target_eng, mut target_sess) = (mk().unwrap(), par.session());
+        let (mut target_eng, mut target_sess) = (mk().unwrap(), mk_par().unwrap());
         for (rec, parent, sharded) in cases {
             let bytes = rec.as_bytes();
             for cut in 0..bytes.len() {

@@ -8,8 +8,8 @@
 //! latency) and performs graceful, `flush()`-equivalent drains.
 //!
 //! The paper's setting is *online* event trend aggregation over bursty
-//! streams; the offline harnesses (`HamletEngine::process` over a slice,
-//! `ParallelEngine::run`) measure throughput but cannot measure latency
+//! streams; the offline runners (`HamletEngine::process` over a slice,
+//! `ParallelEngine::process`) measure throughput but cannot measure latency
 //! under sustained load or tolerate out-of-order delivery. This crate
 //! adds that missing runtime layer:
 //!
@@ -101,7 +101,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Default events per routed batch (small: the pipeline is latency-first;
-/// the offline `ParallelEngine` uses 1024 for pure throughput).
+/// the offline `ParallelEngine` routes fixed 1024-event batches for pure
+/// throughput).
 pub const DEFAULT_BATCH: usize = 256;
 /// Default bounded depth of each stage channel, in batches.
 pub const DEFAULT_CHANNEL_CAPACITY: usize = 8;
@@ -532,23 +533,9 @@ impl PipelineBuilder {
         {
             let mut sim = queries.clone();
             for (i, (_, op)) in churn_at.iter().enumerate() {
-                let invalid = |e: ChurnError| {
+                op.apply_to(&mut sim).map_err(|e| {
                     ResumeError::Engine(EngineError::Churn(format!("entry {i}: {e}")))
-                };
-                match op {
-                    ChurnOp::Add(q) => {
-                        if sim.iter().any(|x| x.id == q.id) {
-                            return Err(invalid(ChurnError::Duplicate(q.id)));
-                        }
-                        sim.push(q.clone());
-                    }
-                    ChurnOp::Remove(id) => {
-                        if !sim.iter().any(|x| x.id == *id) {
-                            return Err(invalid(ChurnError::Unknown(*id)));
-                        }
-                        sim.retain(|x| x.id != *id);
-                    }
-                }
+                })?;
                 HamletEngine::new(reg.clone(), sim.clone(), probe_cfg.clone())
                     .map_err(ResumeError::Engine)?;
             }
@@ -927,20 +914,7 @@ impl<Src: Source> Ingest<Src> {
     /// and bumps the workload epoch.
     fn apply_churn(&mut self, op: ChurnOp) -> Result<u64, ChurnError> {
         let mut wanted = self.queries.clone();
-        match &op {
-            ChurnOp::Add(q) => {
-                if wanted.iter().any(|x| x.id == q.id) {
-                    return Err(ChurnError::Duplicate(q.id));
-                }
-                wanted.push(q.clone());
-            }
-            ChurnOp::Remove(id) => {
-                if !wanted.iter().any(|x| x.id == *id) {
-                    return Err(ChurnError::Unknown(*id));
-                }
-                wanted.retain(|x| x.id != *id);
-            }
-        }
+        op.apply_to(&mut wanted)?;
         HamletEngine::new(self.reg.clone(), wanted.clone(), self.probe_cfg.clone())
             .map_err(ChurnError::Engine)?;
         let barrier = self.shared.spans.start();

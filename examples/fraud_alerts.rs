@@ -6,7 +6,6 @@
 //! Run with: `cargo run --release --example fraud_alerts`
 
 use hamlet::prelude::*;
-use hamlet_core::{ParallelEngine, ParallelReport};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -111,34 +110,38 @@ fn main() {
     }
 
     // Partition-parallel run over the same stream must agree bit-for-bit:
-    // ParallelReport.results is sorted by (window, query, key), so sorting
-    // the sequential run the same way makes the two directly comparable.
-    // Fed batch-by-batch through the streaming entry point (the batches
-    // could come straight off a generator without holding the full
-    // stream).
-    let par: ParallelReport = ParallelEngine::new(reg.clone(), queries, EngineConfig::default(), 4)
-        .expect("example setup is valid")
-        .run_batches(hamlet_stream::batches(&events, 2048));
+    // every call returns its rows in (window, query, key) order, so
+    // sorting both runs the same way makes them directly comparable.
+    // Fed slice by slice, as the events could come straight off a
+    // generator without holding the full stream.
+    let t0 = std::time::Instant::now();
+    let mut par = ParallelEngine::new(reg.clone(), queries, EngineConfig::default(), 4)
+        .expect("example setup is valid");
+    let mut par_results: Vec<WindowResult> = events
+        .chunks(2048)
+        .flat_map(|slice| par.process(slice))
+        .collect();
+    par_results.extend(par.flush());
+    let parallel = t0.elapsed();
+    sort_results(&mut par_results);
     sort_results(&mut results);
-    assert_eq!(results, par.results);
+    assert_eq!(results, par_results);
 
-    let merged = par.merged_stats();
     println!(
         "\nparallel (4 shards) verified identical: {} results, {} snapshots, \
          workers routed {:?} events, total peak state {} KB",
-        par.results.len(),
-        merged.runs.snapshots(),
-        par.stats
+        par_results.len(),
+        par.stats().runs.snapshots(),
+        par.shard_stats()
             .iter()
             .map(|s| s.events_routed)
             .collect::<Vec<_>>(),
-        par.total_peak_mem() / 1024,
+        par.peak_memory() / 1024,
     );
     println!(
-        "single-thread took {sequential:?}; 4 workers took {:?} -> {:.2}x speedup \
+        "single-thread took {sequential:?}; 4 workers took {parallel:?} -> {:.2}x speedup \
          (each shard owns ~1/4 of the accounts and sees only its events; \
          grows with cores and account cardinality — see `figures fig_scaling`)",
-        par.wall,
-        sequential.as_secs_f64() / par.wall.as_secs_f64().max(1e-9),
+        sequential.as_secs_f64() / parallel.as_secs_f64().max(1e-9),
     );
 }

@@ -68,8 +68,7 @@ pub mod prelude {
     pub use hamlet_core::{
         sort_results, AggValue, Checkpoint, CheckpointError, CheckpointKind, CheckpointStore,
         ChurnError, ChurnOp, ChurnReport, CutKind, DirStore, EngineConfig, GroupMetrics,
-        HamletEngine, MemStore, ParallelEngine, ParallelReport, ParallelSession, SharingPolicy,
-        Snapshot, WindowResult,
+        HamletEngine, MemStore, ParallelEngine, SharingPolicy, Snapshot, WindowResult,
     };
     pub use hamlet_pipeline::{
         BoundedLateness, CountingSink, MetricsSnapshot, NullSink, Pipeline, PipelineCheckpoint,

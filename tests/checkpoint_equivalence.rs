@@ -6,7 +6,8 @@
 //! * the single engine (`cut(Full)` / `restore_chain`), in raw emission
 //!   order, including the round-trip identity: the restored engine's
 //!   next full cut equals the original's;
-//! * the parallel session at 1 and 4 workers, in canonical order;
+//! * the parallel shard set (`ParallelEngine`) at 1 and 4 workers, in
+//!   canonical order;
 //! * the online pipeline (`PipelineHandle::checkpoint` appended to a
 //!   store / `PipelineBuilder::resume_from`) at 1 and 4 workers, for
 //!   in-order *and* bounded-late delivery — the reorder buffer and
@@ -106,38 +107,43 @@ fn engine_kill_restore_continue_is_byte_identical() {
     }
 }
 
-/// Parallel session at 1 and 4 workers: a coordinated full cut at an
-/// arbitrary barrier, restored into a fresh session (through the
+/// Parallel shard set at 1 and 4 workers: a coordinated full cut at an
+/// arbitrary barrier, restored into a fresh shard set (through the
 /// serialized record, as a crash-recovery path would) that finishes the
-/// stream, equals one uninterrupted offline run in canonical order —
-/// zero rows included.
+/// stream, equals one uninterrupted run in canonical order — zero rows
+/// included.
 #[test]
 fn parallel_checkpoint_resume_is_identical_at_1_and_4_workers() {
     let (reg, queries) = workload();
     let events = stream(&reg, 7, 3_000, 24);
     for workers in [1u32, 4] {
-        let eng = ParallelEngine::new(
-            reg.clone(),
-            queries.clone(),
-            EngineConfig::default(),
-            workers,
-        )
-        .unwrap();
-        let gold = eng.run(&events);
-        assert!(!gold.results.is_empty());
+        let mk = || {
+            ParallelEngine::new(
+                reg.clone(),
+                queries.clone(),
+                EngineConfig::default(),
+                workers,
+            )
+            .unwrap()
+        };
+        let mut gold_par = mk();
+        let mut gold = gold_par.process(&events);
+        gold.extend(gold_par.flush());
+        sort_results(&mut gold);
+        assert!(!gold.is_empty());
         for cut in [0, events.len() / 2, events.len()] {
-            let mut pre = eng.session();
+            let mut pre = mk();
             let mut all = pre.process(&events[..cut]);
             let record = pre.cut(CutKind::Full).unwrap().into_bytes();
             drop(pre); // the crash
             let restored = Checkpoint::from_bytes(record).unwrap();
-            let mut post = eng.session();
+            let mut post = mk();
             post.restore_chain(&[restored]).unwrap();
             all.extend(post.process(&events[cut..]));
             all.extend(post.flush());
             sort_results(&mut all);
             assert_eq!(
-                all, gold.results,
+                all, gold,
                 "{workers} workers, cut {cut}: recovery changed the output"
             );
         }
@@ -326,17 +332,20 @@ proptest! {
         prop_assert_eq!(&recovered, &expected_suffix, "seed {} cut {}", seed, cut);
 
         // Parallel, canonical order.
-        let par = ParallelEngine::new(
+        let mk_par = || ParallelEngine::new(
             reg.clone(), queries.clone(), EngineConfig::default(), 2).unwrap();
-        let gold_par = par.run(&events);
-        let mut pre = par.session();
+        let mut gold_eng = mk_par();
+        let mut gold_par = gold_eng.process(&events);
+        gold_par.extend(gold_eng.flush());
+        sort_results(&mut gold_par);
+        let mut pre = mk_par();
         let mut all = pre.process(&events[..cut]);
         let record = pre.cut(CutKind::Full).unwrap();
-        let mut post = par.session();
+        let mut post = mk_par();
         post.restore_chain(&[record]).unwrap();
         all.extend(post.process(&events[cut..]));
         all.extend(post.flush());
         sort_results(&mut all);
-        prop_assert_eq!(&all, &gold_par.results, "parallel seed {} cut {}", seed, cut);
+        prop_assert_eq!(&all, &gold_par, "parallel seed {} cut {}", seed, cut);
     }
 }

@@ -3,9 +3,10 @@
 //! window lost, none duplicated, untouched share groups byte-identical
 //! to never having churned. Proven across the stack:
 //!
-//! * the offline parallel path (`ParallelEngine::run_with_churn`) at 1
-//!   and 4 workers against a single-engine reference that applies the
-//!   same ops at the same stream positions, in canonical order;
+//! * the offline shard set (`ParallelEngine`, churned between
+//!   `process` calls with `add_query`/`remove_query`) at 1 and 4
+//!   workers against a single-engine reference that applies the same
+//!   ops at the same stream positions, in canonical order;
 //! * a proptest over churn positions × stream shapes;
 //! * checkpoint/restore **mid-churn**: a record cut after churn carries
 //!   the workload epoch, restores into an engine built with the
@@ -78,7 +79,45 @@ fn churned_reference(
     out
 }
 
-/// The parallel path's coordinated churn barrier at 1 and 4 workers
+/// Applies one churn op to a shard set, returning the rows it drained.
+fn churn(par: &mut ParallelEngine, op: &ChurnOp) -> Result<Vec<WindowResult>, ChurnError> {
+    match op {
+        ChurnOp::Add(q) => par.add_query(q.clone()),
+        ChurnOp::Remove(id) => par.remove_query(*id),
+    }
+}
+
+/// The same schedule on a `workers`-way shard set: `process` up to each
+/// position, churn at the barrier, finish and flush. Canonical order.
+fn churned_parallel(
+    reg: &Arc<TypeRegistry>,
+    initial: &[Query],
+    events: &[Event],
+    ops: &[(usize, ChurnOp)],
+    workers: u32,
+) -> Vec<WindowResult> {
+    let mut par = ParallelEngine::new(
+        reg.clone(),
+        initial.to_vec(),
+        EngineConfig::default(),
+        workers,
+    )
+    .expect("shard set builds");
+    let mut out = Vec::new();
+    let mut pos = 0usize;
+    for (at, op) in ops {
+        let at = (*at).min(events.len());
+        out.extend(par.process(&events[pos..at]));
+        pos = at;
+        out.extend(churn(&mut par, op).expect("churn applies"));
+    }
+    out.extend(par.process(&events[pos..]));
+    out.extend(par.flush());
+    sort_results(&mut out);
+    out
+}
+
+/// The shard set's coordinated churn barrier at 1 and 4 workers
 /// equals the single-engine reference, drained barrier results included,
 /// for a schedule that exercises remove-from-shared-group, add-new-query,
 /// and re-add-after-remove.
@@ -98,16 +137,9 @@ fn parallel_churn_matches_single_engine_at_1_and_4_workers() {
     assert!(!gold.is_empty(), "workload emits under churn");
 
     for workers in [1u32, 4] {
-        let mut eng = ParallelEngine::new(
-            reg.clone(),
-            initial.clone(),
-            EngineConfig::default(),
-            workers,
-        )
-        .unwrap();
-        let report = eng.run_with_churn(&events, &ops).unwrap();
         assert_eq!(
-            report.results, gold,
+            churned_parallel(&reg, &initial, &events, &ops, workers),
+            gold,
             "{workers} workers: churned run diverged from the reference"
         );
     }
@@ -130,52 +162,61 @@ fn churn_at_stream_edges_and_back_to_back() {
     ];
     let gold = churned_reference(&reg, &initial, &events, &ops);
     for workers in [1u32, 4] {
-        let mut eng = ParallelEngine::new(
-            reg.clone(),
-            initial.clone(),
-            EngineConfig::default(),
-            workers,
-        )
-        .unwrap();
-        let report = eng.run_with_churn(&events, &ops).unwrap();
-        assert_eq!(report.results, gold, "{workers} workers diverged");
+        assert_eq!(
+            churned_parallel(&reg, &initial, &events, &ops, workers),
+            gold,
+            "{workers} workers diverged"
+        );
     }
 }
 
-/// An invalid op *anywhere* in the schedule rejects the whole run before
-/// any event is processed: the engine still produces the untouched
-/// workload's output afterwards.
+/// An invalid op is rejected at its barrier — a remove of an id an
+/// earlier op already removed, a duplicate add — and leaves the shard
+/// set usable: the rest of the stream emits exactly what a twin that
+/// never saw the rejected ops emits.
 #[test]
 fn invalid_schedule_rejects_upfront_and_leaves_engine_usable() {
     let (reg, pool) = pool();
     let initial: Vec<Query> = pool[..4].to_vec();
     let events = stream(&reg, 3, 1_000, 6);
-    let mut eng =
-        ParallelEngine::new(reg.clone(), initial.clone(), EngineConfig::default(), 4).unwrap();
-    let gold = eng.run(&events);
-
-    // Second op removes an id the first op already removed.
-    let bad = vec![
+    let n = events.len();
+    let mk = || ParallelEngine::new(reg.clone(), initial.clone(), EngineConfig::default(), 4);
+    let (mut eng, mut twin) = (mk().unwrap(), mk().unwrap());
+    let mut out = Vec::new();
+    let mut gold = Vec::new();
+    let valid = [
         (0usize, ChurnOp::Remove(QueryId(1))),
-        (events.len() / 2, ChurnOp::Remove(QueryId(1))),
+        (n / 3, ChurnOp::Add(pool[6].clone())),
     ];
-    match eng.run_with_churn(&events, &bad) {
+    let mut pos = 0usize;
+    for (at, op) in &valid {
+        out.extend(eng.process(&events[pos..*at]));
+        gold.extend(twin.process(&events[pos..*at]));
+        pos = *at;
+        out.extend(churn(&mut eng, op).unwrap());
+        gold.extend(churn(&mut twin, op).unwrap());
+    }
+    out.extend(eng.process(&events[pos..n / 2]));
+    gold.extend(twin.process(&events[pos..n / 2]));
+
+    // Removes an id the first op already removed.
+    match eng.remove_query(QueryId(1)) {
         Err(ChurnError::Unknown(id)) => assert_eq!(id, QueryId(1)),
         Err(other) => panic!("expected Unknown(1), got {other:?}"),
-        Ok(_) => panic!("expected Unknown(1), got a successful run"),
+        Ok(_) => panic!("expected Unknown(1), got a successful churn"),
     }
-    // Duplicate add deep in the schedule is caught the same way.
-    let dup = vec![
-        (0usize, ChurnOp::Add(pool[6].clone())),
-        (1usize, ChurnOp::Add(pool[6].clone())),
-    ];
-    match eng.run_with_churn(&events, &dup) {
+    // Re-adds the query the second op added.
+    match eng.add_query(pool[6].clone()) {
         Err(ChurnError::Duplicate(id)) => assert_eq!(id, pool[6].id),
         Err(other) => panic!("expected Duplicate, got {other:?}"),
-        Ok(_) => panic!("expected Duplicate, got a successful run"),
+        Ok(_) => panic!("expected Duplicate, got a successful churn"),
     }
-    // The failed churns changed nothing: a plain run still matches.
-    assert_eq!(eng.run(&events).results, gold.results);
+    // The failed churns changed nothing: the rest of the run matches.
+    out.extend(eng.process(&events[n / 2..]));
+    gold.extend(twin.process(&events[n / 2..]));
+    out.extend(eng.flush());
+    gold.extend(twin.flush());
+    assert_eq!(out, gold);
 }
 
 /// Checkpoint taken mid-stream *after* churn: the record carries the
@@ -275,7 +316,7 @@ proptest! {
 
     /// Random stream shape, random churn barrier positions: a remove of
     /// a random initial query and a later add of a never-seen query.
-    /// The parallel path at 1 and 4 workers equals the single-engine
+    /// The shard set at 1 and 4 workers equals the single-engine
     /// reference in canonical order.
     #[test]
     fn random_churn_positions_and_streams_are_equivalent(
@@ -308,16 +349,8 @@ proptest! {
         ];
         let gold = churned_reference(&reg, &initial, &events, &ops);
         for workers in [1u32, 4] {
-            let mut eng = ParallelEngine::new(
-                reg.clone(),
-                initial.clone(),
-                EngineConfig::default(),
-                workers,
-            )
-            .unwrap();
-            let report = eng.run_with_churn(&events, &ops).unwrap();
             prop_assert_eq!(
-                &report.results,
+                &churned_parallel(&reg, &initial, &events, &ops, workers),
                 &gold,
                 "{} workers, cut ({}, {}): churn changed the output",
                 workers,

@@ -8,7 +8,7 @@
 //! exactly the uninterrupted run's suffix. Proven at every layer:
 //!
 //! * the single engine, through [`Snapshot`] + [`MemStore`];
-//! * [`ParallelSession`] at 1 and 4 workers, whose shard-set records
+//! * [`ParallelEngine`] at 1 and 4 workers, whose shard-set records
 //!   every shard engine restores its own payload from;
 //! * the online pipeline (`checkpoint_store` / `checkpoint_every` /
 //!   `resume_from`) at 1 and 4 workers, through an on-disk [`DirStore`];
@@ -174,10 +174,10 @@ fn engine_chain_restore_is_byte_identical_and_continues() {
     assert_eq!(survivor.flush(), oracle.flush(), "flush diverged");
 }
 
-/// Parallel layer at 1 and 4 workers: a [`ParallelSession`] cuts its
-/// shard-set chain at a fixed cadence; a second session restored
+/// Parallel layer at 1 and 4 workers: a [`ParallelEngine`] cuts its
+/// shard-set chain at a fixed cadence; a second shard set restored
 /// from the store mid-delta-interval processes the remainder in
-/// lockstep with the session that never crashed — identical emissions,
+/// lockstep with the one that never crashed — identical emissions,
 /// identical flush, and byte-identical subsequent cuts.
 #[test]
 fn parallel_session_chain_restore_is_identical_at_1_and_4_workers() {
@@ -188,17 +188,21 @@ fn parallel_session_chain_restore_is_identical_at_1_and_4_workers() {
     assert!(!events.len().is_multiple_of(cadence));
 
     for workers in [1u32, 4] {
-        let par = ParallelEngine::new(
-            reg.clone(),
-            queries.clone(),
-            EngineConfig::default(),
-            workers,
-        )
-        .unwrap();
-        let gold = par.run(&events);
+        let mk = || {
+            ParallelEngine::new(
+                reg.clone(),
+                queries.clone(),
+                EngineConfig::default(),
+                workers,
+            )
+            .unwrap()
+        };
+        let mut gold_par = mk();
+        let mut gold = gold_par.process(&events);
+        gold.extend(gold_par.flush());
 
         let store = MemStore::new();
-        let mut live = par.session();
+        let mut live = mk();
         let mut emitted = Vec::new();
         let mut cuts = 0usize;
         let mut p = 0usize;
@@ -214,21 +218,21 @@ fn parallel_session_chain_restore_is_identical_at_1_and_4_workers() {
             store.append(&live.cut(kind).unwrap()).unwrap();
         }
 
-        // The crash: a fresh session rebuilt from the store, now at the
+        // The crash: a fresh shard set rebuilt from the store, now at the
         // same stream position as `live`. Before feeding anything, both
         // must cut byte-identical full records — the restored state
         // equals the live one bit-for-bit, wall-clock telemetry
         // included, because the chain carries it. (After processing
         // resumes, each run accrues its own decision-time nanos, so the
         // comparison has to happen at the barrier.)
-        let mut survivor = par.session();
+        let mut survivor = mk();
         survivor
             .restore_chain(&store.load_chain().unwrap())
             .unwrap();
         assert_eq!(
             survivor.cut(CutKind::Full).unwrap().as_bytes(),
             live.cut(CutKind::Full).unwrap().as_bytes(),
-            "{workers} workers: restored session is not byte-identical"
+            "{workers} workers: restored shard set is not byte-identical"
         );
         let tail_live = live.process(&events[p..]);
         let tail_survivor = survivor.process(&events[p..]);
@@ -244,7 +248,7 @@ fn parallel_session_chain_restore_is_identical_at_1_and_4_workers() {
 
         let mut all = emitted;
         sort_results(&mut all);
-        let mut want = gold.results.clone();
+        let mut want = gold;
         sort_results(&mut want);
         assert_eq!(all, want, "{workers} workers: cuts perturbed the output");
     }
@@ -320,17 +324,16 @@ fn pipeline_dirstore_chain_resume_at_1_and_4_workers() {
             .drain();
         assert_eq!(resumed.events, events.len() as u64, "counters continue");
 
-        // Pre-cut emissions, reconstructed deterministically: a session
-        // over the cut prefix emits exactly what the killed pipeline's
+        // Pre-cut emissions, reconstructed deterministically: a shard set
+        // fed the cut prefix emits exactly what the killed pipeline's
         // workers emitted before the barrier (same routing, no flush).
-        let par = ParallelEngine::new(
+        let mut pre_oracle = ParallelEngine::new(
             reg.clone(),
             queries.clone(),
             EngineConfig::default(),
             workers,
         )
         .unwrap();
-        let mut pre_oracle = par.session();
         let mut all = pre_oracle.process(&events[..cursor]);
         all.extend(resumed.sink.results);
         sort_results(&mut all);
@@ -498,8 +501,8 @@ proptest! {
     /// Random stream shapes × random cut cadences × random compaction
     /// points: the engine-level chain restore is byte-identical to the
     /// uninterrupted run and continues identically, and a 4-worker
-    /// [`ParallelSession`] restored from its shard-set chain stays in
-    /// lockstep with the session that never crashed.
+    /// [`ParallelEngine`] restored from its shard-set chain stays in
+    /// lockstep with the one that never crashed.
     #[test]
     fn random_cadences_and_compaction_recover_identically(
         seed in 0u64..10_000,
@@ -558,10 +561,10 @@ proptest! {
         prop_assert_eq!(&recovered, &expected, "seed {} cadence {}", seed, cadence);
 
         // Parallel shard-set chain at 4 workers, in lockstep.
-        let par = ParallelEngine::new(
+        let mk_par = || ParallelEngine::new(
             reg.clone(), queries.clone(), EngineConfig::default(), 4).unwrap();
         let store = MemStore::new();
-        let mut live = par.session();
+        let mut live = mk_par();
         let mut cuts = 0usize;
         let mut p = 0usize;
         while p + cadence <= events.len() {
@@ -575,12 +578,12 @@ proptest! {
             };
             store.append(&live.cut(kind).unwrap()).unwrap();
         }
-        let mut survivor = par.session();
+        let mut survivor = mk_par();
         survivor.restore_chain(&store.load_chain().unwrap()).unwrap();
         prop_assert_eq!(
             survivor.cut(CutKind::Full).unwrap().into_bytes(),
             live.cut(CutKind::Full).unwrap().into_bytes(),
-            "seed {} cadence {}: restored session not byte-identical", seed, cadence
+            "seed {} cadence {}: restored shard set not byte-identical", seed, cadence
         );
         prop_assert_eq!(
             survivor.process(&events[p..]),

@@ -548,12 +548,13 @@ proptest! {
     }
 
     /// The sharded parallel engine (which feeds workers whole batches)
-    /// returns identical reports for 1 and 4 workers across batch sizes.
+    /// returns identical rows for 1 and 4 workers across the sizes of
+    /// the slices it is fed.
     #[test]
     fn parallel_batching_is_inert(
         types in proptest::collection::vec(0..3usize, 1..40),
         groups in proptest::collection::vec(0i64..4, 40),
-        batch_size in 1usize..30,
+        slice_size in 1usize..30,
     ) {
         let reg = registry();
         let names = ["A", "B", "C"];
@@ -567,16 +568,19 @@ proptest! {
             parse_query(&reg, 2, "RETURN COUNT(*) PATTERN SEQ(C, B+) GROUP BY g WITHIN 16").unwrap(),
         ];
         use hamlet_core::ParallelEngine;
-        let run = |workers: u32, batch: usize| {
-            ParallelEngine::new(reg.clone(), queries.clone(), EngineConfig::default(), workers)
-                .unwrap()
-                .with_batch_size(batch)
-                .run(&events)
-                .results
+        let run = |workers: u32, slice: usize| {
+            let mut par =
+                ParallelEngine::new(reg.clone(), queries.clone(), EngineConfig::default(), workers)
+                    .unwrap();
+            let mut out: Vec<WindowResult> =
+                events.chunks(slice).flat_map(|s| par.process(s)).collect();
+            out.extend(par.flush());
+            hamlet_core::sort_results(&mut out);
+            out
         };
         let base = run(1, 1);
-        prop_assert_eq!(&run(1, batch_size), &base);
+        prop_assert_eq!(&run(1, slice_size), &base);
         prop_assert_eq!(&run(4, 1), &base);
-        prop_assert_eq!(&run(4, batch_size), &base);
+        prop_assert_eq!(&run(4, slice_size), &base);
     }
 }

@@ -2,7 +2,7 @@
 //! equivalence-attribute partitioning, EXPLAIN output, and the parallel
 //! engine on generated workloads.
 
-use hamlet_core::{EngineConfig, HamletEngine, ParallelEngine, SharingPolicy};
+use hamlet_core::{EngineConfig, HamletEngine, ParallelEngine, SharingPolicy, WindowResult};
 use hamlet_query::parse_query;
 use hamlet_types::{AttrValue, Event, Ts, TypeRegistry};
 use std::sync::Arc;
@@ -13,6 +13,21 @@ fn registry() -> Arc<TypeRegistry> {
         reg.register(t, &["g", "v", "driver"]);
     }
     Arc::new(reg)
+}
+
+/// Every row of a `workers`-way sharded run over the whole stream.
+fn sharded(
+    reg: &Arc<TypeRegistry>,
+    queries: &[hamlet_query::Query],
+    cfg: EngineConfig,
+    workers: u32,
+    events: &[Event],
+) -> Vec<WindowResult> {
+    let mut par =
+        ParallelEngine::new(reg.clone(), queries.to_vec(), cfg, workers).expect("shard set builds");
+    let mut out = par.process(events);
+    out.extend(par.flush());
+    out
 }
 
 fn ev(reg: &TypeRegistry, name: &str, t: u64, g: i64, driver: i64) -> Event {
@@ -138,12 +153,8 @@ fn parallel_generated_workload_agrees() {
             policy,
             ..EngineConfig::default()
         };
-        let seq = ParallelEngine::new(reg.clone(), queries.clone(), cfg.clone(), 1)
-            .unwrap()
-            .run(&events);
-        let par = ParallelEngine::new(reg.clone(), queries.clone(), cfg, 3)
-            .unwrap()
-            .run(&events);
+        let seq = sharded(&reg, &queries, cfg.clone(), 1, &events);
+        let par = sharded(&reg, &queries, cfg, 3, &events);
         let norm = |rs: &[hamlet_core::WindowResult]| {
             let mut v: Vec<String> = rs
                 .iter()
@@ -163,7 +174,7 @@ fn parallel_generated_workload_agrees() {
             v.sort();
             v
         };
-        assert_eq!(norm(&seq.results), norm(&par.results), "{policy:?}");
+        assert_eq!(norm(&seq), norm(&par), "{policy:?}");
     }
 }
 
@@ -290,12 +301,8 @@ fn skewed_partitions_agree_in_parallel() {
     );
     let queries = hamlet_stream::ridesharing::workload_shared_kleene(&reg, 6, 30);
     let cfg = EngineConfig::default();
-    let seq = ParallelEngine::new(reg.clone(), queries.clone(), cfg.clone(), 1)
-        .unwrap()
-        .run(&events);
-    let par = ParallelEngine::new(reg.clone(), queries, cfg, 4)
-        .unwrap()
-        .run(&events);
+    let seq = sharded(&reg, &queries, cfg.clone(), 1, &events);
+    let par = sharded(&reg, &queries, cfg, 4, &events);
     let norm = |rs: &[hamlet_core::WindowResult]| {
         let mut v: Vec<String> = rs
             .iter()
@@ -310,5 +317,5 @@ fn skewed_partitions_agree_in_parallel() {
         v.sort();
         v
     };
-    assert_eq!(norm(&seq.results), norm(&par.results));
+    assert_eq!(norm(&seq), norm(&par));
 }

@@ -11,8 +11,8 @@ use hamlet::prelude::*;
 use hamlet_stream::{ridesharing, smart_home, GenConfig};
 use proptest::prelude::*;
 
-/// Sorted full result set of a single-threaded run (the canonical report
-/// order `ParallelReport.results` guarantees).
+/// Sorted full result set of a single-threaded run (the canonical order
+/// every `ParallelEngine` call returns its rows in).
 fn reference(
     reg: &std::sync::Arc<TypeRegistry>,
     queries: &[Query],
@@ -29,6 +29,27 @@ fn reference(
     out
 }
 
+/// Every row of a `workers`-way sharded run over the whole stream, in
+/// canonical order.
+fn sharded(
+    reg: &std::sync::Arc<TypeRegistry>,
+    queries: &[Query],
+    events: &[Event],
+    workers: u32,
+) -> Vec<WindowResult> {
+    let mut par = ParallelEngine::new(
+        reg.clone(),
+        queries.to_vec(),
+        EngineConfig::default(),
+        workers,
+    )
+    .expect("engine builds");
+    let mut out = par.process(events);
+    out.extend(par.flush());
+    sort_results(&mut out);
+    out
+}
+
 fn assert_workers_match(
     reg: &std::sync::Arc<TypeRegistry>,
     queries: &[Query],
@@ -38,18 +59,11 @@ fn assert_workers_match(
     let expected = reference(reg, queries, events);
     assert!(!expected.is_empty(), "{label}: workload produced results");
     for workers in [1u32, 2, 4, 8] {
-        let report = ParallelEngine::new(
-            reg.clone(),
-            queries.to_vec(),
-            EngineConfig::default(),
-            workers,
-        )
-        .expect("engine builds")
-        .run(events);
         // Bit-identical: same window set, same keys, same aggregates,
         // same (guaranteed) order — zero rows included, no normalization.
         assert_eq!(
-            expected, report.results,
+            expected,
+            sharded(reg, queries, events, workers),
             "{label}: {workers} workers diverged from single-threaded run"
         );
     }
@@ -138,15 +152,12 @@ proptest! {
         let events = ridesharing::generate(&reg, &cfg);
         let expected = reference(&reg, &queries, &events);
         for workers in [2u32, 5] {
-            let report = ParallelEngine::new(
-                reg.clone(),
-                queries.clone(),
-                EngineConfig::default(),
-                workers,
-            )
-            .unwrap()
-            .run(&events);
-            prop_assert_eq!(&expected, &report.results, "{} workers", workers);
+            prop_assert_eq!(
+                &expected,
+                &sharded(&reg, &queries, &events, workers),
+                "{} workers",
+                workers
+            );
         }
     }
 }
